@@ -24,11 +24,8 @@ std::string ParseFlag(int argc, char** argv, const std::string& name) {
   return std::string();
 }
 
-benchgen::Benchmark BuildAnnounced(
-    benchgen::BenchmarkId id, double scale,
-    const benchgen::EndpointFactory& endpoint_factory) {
-  benchgen::Benchmark bench =
-      benchgen::BuildBenchmark(id, scale, endpoint_factory);
+benchgen::Benchmark BuildAnnounced(benchgen::BenchmarkId id, double scale) {
+  benchgen::Benchmark bench = benchgen::BuildBenchmark(id, scale);
   std::printf("[setup] %s on %s: %zu questions, %zu triples\n",
               bench.name.c_str(), bench.kg_name.c_str(),
               bench.questions.size(), bench.endpoint->NumTriples());

@@ -28,13 +28,8 @@ double ParseScale(int argc, char** argv);
 // Returns the value of a `--name=value` flag, or "" when absent.
 std::string ParseFlag(int argc, char** argv, const std::string& name);
 
-// Builds a benchmark and announces it on stdout.  An optional factory
-// swaps the backing endpoint implementation (e.g. a ShardedEndpoint for
-// `--endpoint-shards=N` runs); the default is the single-store
-// LocalEndpoint.
-benchgen::Benchmark BuildAnnounced(
-    benchgen::BenchmarkId id, double scale,
-    const benchgen::EndpointFactory& endpoint_factory = nullptr);
+// Builds a benchmark and announces it on stdout.
+benchgen::Benchmark BuildAnnounced(benchgen::BenchmarkId id, double scale);
 
 // Applies the per-KG label-predicate configuration EDGQA requires (the
 // manual Falcon customization of Sec. 7.2.1): rdfs:label by default,

@@ -9,10 +9,7 @@
 // before its timing is reported; a speedup printed here is a speedup of the
 // *same* answer.  `--json=out.json` writes a machine-readable summary the
 // CI bench-smoke gate checks (vectorized must not lose to serial on the
-// star-shaped query).  `--endpoint-shards=N` adds a fifth column: the same
-// queries against a ShardedEndpoint with N subject-hash shards (serial
-// evaluation inside each shard), identity-checked against the same serial
-// reference; the CI gate holds sharded star-hub at >= 0.9x unsharded.
+// star-shaped query).
 // Numbers depend on the machine's core count (printed in the header).
 
 #include <algorithm>
@@ -27,7 +24,6 @@
 
 #include "bench_common.h"
 #include "benchgen/kg.h"
-#include "serve/sharded_endpoint.h"
 #include "sparql/endpoint.h"
 #include "sparql/result_set.h"
 #include "store/compact_store.h"
@@ -70,10 +66,6 @@ int main(int argc, char** argv) {
   using namespace kgqan;
   const double scale = bench::ParseScale(argc, argv);
   const std::string json_path = bench::ParseFlag(argc, argv, "json");
-  const std::string shards_flag =
-      bench::ParseFlag(argc, argv, "endpoint-shards");
-  const size_t endpoint_shards =
-      shards_flag.empty() ? 0 : std::stoul(shards_flag);
   // Best-of-kReps per cell; `--reps=N` raises it so ratio gates in CI
   // see the converged floor of both columns, not scheduler noise.
   const std::string reps_flag = bench::ParseFlag(argc, argv, "reps");
@@ -211,26 +203,8 @@ int main(int argc, char** argv) {
   // later steps have real work; identical for every mode.
   ep.mutable_eval_options().max_rows = 4'000'000;
 
-  // Optional fifth column: the sharded endpoint over the same KG (the
-  // builder is seeded, so regenerating yields the identical graph).
-  std::unique_ptr<sparql::Endpoint> sharded_ep;
-  if (endpoint_shards >= 2) {
-    rdf::Graph g = benchgen::BuildScholarlyKg(benchgen::KgFlavor::kMag, scale,
-                                              42)
-                       .graph;
-    sharded_ep = serve::MakeEndpoint("mag-eval-sharded", std::move(g),
-                                     endpoint_shards, ep_options);
-    sharded_ep->mutable_eval_options().max_rows = 4'000'000;
-    // Like-for-like with the "sharded" (morsel) column: the sharded
-    // endpoint composes with PR-5 morsel evaluation (ShardedStore
-    // implements Locate/Partition), and that is its production
-    // configuration — the CI gate compares it against the morsel column.
-    sharded_ep->set_intra_query_threads(8);
-    std::printf("endpoint shards: %zu (subject-hash partitioning, morsel "
-                "evaluation inside the shards)\n",
-                endpoint_shards);
-  }
-  // Optional compact-store differential endpoint over the identical graph.
+  // Optional compact-store differential endpoint over the identical graph
+  // (the builder is seeded, so regenerating yields the identical graph).
   std::unique_ptr<sparql::CompactEndpoint> compact_ep;
   double compact_build_ms = 0.0;
   double snapshot_write_ms = 0.0;
@@ -289,13 +263,11 @@ int main(int argc, char** argv) {
               static_cast<double>(ep.store().ApproxIndexBytes()) /
                   (1024.0 * 1024.0));
 
-  const int rule_width = sharded_ep ? 100 : 88;
-  bench::PrintRule(rule_width);
+  bench::PrintRule(88);
   std::printf("%-14s", "query");
   for (const Mode& m : kModes) std::printf("  %10s", m.name);
-  if (sharded_ep) std::printf("  %10s", "ep-shard");
   std::printf("   vec/ser  both/ser\n");
-  bench::PrintRule(rule_width);
+  bench::PrintRule(88);
 
   struct Run {
     const char* query;
@@ -311,8 +283,6 @@ int main(int argc, char** argv) {
     size_t rows_by_mode[4] = {0, 0, 0, 0};
     double compact_by_mode[4] = {0, 0, 0, 0};
     size_t compact_rows[4] = {0, 0, 0, 0};
-    double sharded_ms = 0.0;
-    size_t sharded_rows = 0;
     ResultSet reference{std::vector<std::string>{}};
     // Reps are interleaved round-robin across the columns, not run as
     // per-mode blocks: a load spike on a busy runner then inflates every
@@ -360,29 +330,11 @@ int main(int argc, char** argv) {
           }
         }
       }
-      if (sharded_ep) {
-        util::Stopwatch w;
-        auto rs = sharded_ep->Query(spec.text);
-        double ms = w.ElapsedMillis();
-        if (!rs.ok()) {
-          std::printf("\nsharded query failed: %s\n",
-                      rs.status().message().c_str());
-          return 1;
-        }
-        sharded_rows = rs->is_ask() ? size_t{rs->ask_value()} : rs->NumRows();
-        if (rep == 0 && !SameResults(reference, *rs)) all_identical = false;
-        if (rep == 0 || ms < sharded_ms) sharded_ms = ms;
-      }
     }
     for (size_t mi = 0; mi < 4; ++mi) {
       runs.push_back({spec.label, kModes[mi].name, by_mode[mi],
                       rows_by_mode[mi]});
       std::printf("  %7.2f ms", by_mode[mi]);
-    }
-    if (sharded_ep) {
-      runs.push_back({spec.label, "endpoint-sharded", sharded_ms,
-                      sharded_rows});
-      std::printf("  %7.2f ms", sharded_ms);
     }
     std::printf("  %7.2fx  %7.2fx\n",
                 by_mode[0] / (by_mode[2] > 0.0 ? by_mode[2] : 1.0),
@@ -399,12 +351,11 @@ int main(int argc, char** argv) {
             (compact_by_mode[mi] > 0.0 ? compact_by_mode[mi] : 0.001);
         worst_ratio = std::min(worst_ratio, ratio);
       }
-      if (sharded_ep) std::printf("  %10s", "");
       // v1 ms / compact ms: >= 1.0 means compact is at least as fast.
       std::printf("  worst v1/compact %.2fx\n", worst_ratio);
     }
   }
-  bench::PrintRule(rule_width);
+  bench::PrintRule(88);
   std::printf("all modes byte-identical to serial: %s\n",
               all_identical ? "yes" : "NO — BUG");
 
@@ -419,7 +370,6 @@ int main(int argc, char** argv) {
                  ep.NumTriples());
     std::fprintf(out, "  \"identical\": %s,\n",
                  all_identical ? "true" : "false");
-    std::fprintf(out, "  \"endpoint_shards\": %zu,\n", endpoint_shards);
     std::fprintf(out, "  \"build_serial_ms\": %.3f,\n", build_serial_ms);
     std::fprintf(out, "  \"build_parallel_ms\": %.3f,\n", build_parallel_ms);
     // Aggregate store footprint of the endpoint under test: the active

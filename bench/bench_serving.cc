@@ -20,10 +20,6 @@
 //                     admin listener up, printing "ADMIN port=..." so CI
 //                     can curl /metrics and /slow.  --admin-port=P binds a
 //                     fixed port (default ephemeral).
-//   --endpoint-shards=N  serve against a ShardedEndpoint with N
-//                     subject-hash shards instead of the single-store
-//                     LocalEndpoint; answers are byte-identical, so every
-//                     mode above composes unchanged.
 //
 // Usage: bench_serving [scale] [--latency-ms=5] [--repeat=N]
 
@@ -41,7 +37,6 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "serve/qa_server.h"
-#include "serve/sharded_endpoint.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -216,21 +211,8 @@ int main(int argc, char** argv) {
   std::string repeat_flag = bench::ParseFlag(argc, argv, "repeat");
   size_t repeat = repeat_flag.empty() ? 4 : std::stoul(repeat_flag);
 
-  std::string shards_flag = bench::ParseFlag(argc, argv, "endpoint-shards");
-  size_t endpoint_shards = shards_flag.empty() ? 0 : std::stoul(shards_flag);
-  benchgen::EndpointFactory factory;
-  if (endpoint_shards >= 2) {
-    factory = [endpoint_shards](std::string kg_name, rdf::Graph graph) {
-      return serve::MakeEndpoint(std::move(kg_name), std::move(graph),
-                                 endpoint_shards);
-    };
-  }
   benchgen::Benchmark bench =
-      bench::BuildAnnounced(benchgen::BenchmarkId::kLcQuad, scale, factory);
-  if (endpoint_shards >= 2) {
-    std::printf("[setup] endpoint: %zu subject-hash shards\n",
-                endpoint_shards);
-  }
+      bench::BuildAnnounced(benchgen::BenchmarkId::kLcQuad, scale);
   bench.endpoint->set_injected_latency_ms(latency_ms);
   std::vector<std::string> questions;
   for (size_t r = 0; r < repeat; ++r) {

@@ -80,20 +80,16 @@ int main(int argc, char** argv) {
   std::filesystem::path dir(argv[2]);
   std::filesystem::create_directories(dir);
 
-  // The endpoint owns the store; re-render its triples as a Graph (every
-  // physical store shard holds a disjoint slice of the KG).
+  // The endpoint owns the store; re-render its triples as a Graph.
   {
     rdf::Graph graph;
-    for (size_t i = 0; i < bench.endpoint->num_store_shards(); ++i) {
-      bench.endpoint->MatchShard(
-          i, rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
-          [&](const rdf::Triple& t) {
-            graph.Add(bench.endpoint->StoreTerm(t.s),
-                      bench.endpoint->StoreTerm(t.p),
-                      bench.endpoint->StoreTerm(t.o));
-            return true;
-          });
-    }
+    bench.endpoint->Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
+                          [&](const rdf::Triple& t) {
+                            graph.Add(bench.endpoint->StoreTerm(t.s),
+                                      bench.endpoint->StoreTerm(t.p),
+                                      bench.endpoint->StoreTerm(t.o));
+                            return true;
+                          });
     std::ofstream out(dir / "kg.ttl");
     out << rdf::WriteTurtle(graph, PrefixesFor(id));
   }

@@ -5,13 +5,12 @@
 //   > Who is the spouse of Barack Obama?
 //   <http://dbpedia.org/resource/Michelle_Obama>
 //
-// Without a file argument it serves a bundled demo KG.  `--shards=N`
-// partitions the KG across N in-process subject-hash shards (the
-// config's endpoint_shards knob); answers are byte-identical either way.
+// Without a file argument it serves a bundled demo KG.
 // `--store=compact` serves the KG from the dictionary-compressed CSR
-// store (store v2); `--snapshot-out=FILE` persists that store after
-// loading so a later run with `--snapshot-in=FILE` cold-starts from the
-// mmap'd snapshot in milliseconds instead of re-parsing the KG.
+// store (store v2; answers are byte-identical to the default store);
+// `--snapshot-out=FILE` persists that store after loading so a later run
+// with `--snapshot-in=FILE` cold-starts from the mmap'd snapshot in
+// milliseconds instead of re-parsing the KG.
 // Multi-intention questions ("When and where was X born?") are
 // decomposed automatically; prefixing a question with "explain " prints
 // the full pipeline trace (PGP, links, candidate queries).
@@ -19,16 +18,15 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "benchgen/kg.h"
-#include "core/config.h"
 #include "core/engine.h"
 #include "core/multi_intention.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
-#include "serve/sharded_endpoint.h"
 #include "sparql/endpoint.h"
 
 namespace {
@@ -52,17 +50,15 @@ kgqan::util::StatusOr<kgqan::rdf::Graph> LoadGraph(const char* path) {
 int main(int argc, char** argv) {
   using namespace kgqan;
 
-  core::KgqanConfig config;
   const char* kg_path = nullptr;
+  bool compact = false;
   std::string snapshot_in, snapshot_out;
   for (int i = 1; i < argc; ++i) {
     std::string arg(argv[i]);
-    if (arg.rfind("--shards=", 0) == 0) {
-      config.endpoint_shards = std::stoul(arg.substr(9));
-    } else if (arg.rfind("--store=", 0) == 0) {
+    if (arg.rfind("--store=", 0) == 0) {
       std::string fmt = arg.substr(8);
       if (fmt == "compact") {
-        config.store_format = core::StoreFormat::kCompact;
+        compact = true;
       } else if (fmt != "v1") {
         std::fprintf(stderr, "unknown --store format '%s' (v1|compact)\n",
                      fmt.c_str());
@@ -77,9 +73,7 @@ int main(int argc, char** argv) {
     }
   }
   // Snapshots only exist for the compact store.
-  if (!snapshot_in.empty() || !snapshot_out.empty()) {
-    config.store_format = core::StoreFormat::kCompact;
-  }
+  if (!snapshot_in.empty() || !snapshot_out.empty()) compact = true;
 
   std::unique_ptr<sparql::Endpoint> endpoint;
   if (!snapshot_in.empty()) {
@@ -112,25 +106,21 @@ int main(int argc, char** argv) {
       name = "demo";
       graph = std::move(kg.graph);
     }
-    endpoint = serve::MakeEndpoint(std::move(name), std::move(graph),
-                                   config.endpoint_shards, {},
-                                   config.store_format);
+    if (compact) {
+      endpoint = std::make_unique<sparql::CompactEndpoint>(std::move(name),
+                                                           std::move(graph));
+    } else {
+      endpoint = std::make_unique<sparql::LocalEndpoint>(std::move(name),
+                                                         std::move(graph));
+    }
   }
-  if (config.endpoint_shards > 1 && snapshot_in.empty()) {
-    std::printf("(endpoint partitioned across %zu subject-hash shards)\n",
-                config.endpoint_shards);
-  } else if (config.store_format == core::StoreFormat::kCompact) {
+  if (compact) {
     std::printf("(serving from the compact dictionary-compressed store)\n");
   }
   if (!snapshot_out.empty()) {
-    auto* compact = dynamic_cast<sparql::CompactEndpoint*>(endpoint.get());
-    if (compact == nullptr) {
-      std::fprintf(stderr,
-                   "--snapshot-out requires the compact single-store "
-                   "endpoint (drop --shards)\n");
-      return 2;
-    }
-    util::Status st = compact->WriteSnapshot(snapshot_out);
+    // --snapshot-out forces the compact store (see above).
+    auto& compact_ep = static_cast<sparql::CompactEndpoint&>(*endpoint);
+    util::Status st = compact_ep.WriteSnapshot(snapshot_out);
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;
@@ -141,7 +131,7 @@ int main(int argc, char** argv) {
               "exit.\n",
               endpoint->NumTriples());
 
-  core::KgqanEngine engine(config);
+  core::KgqanEngine engine;
   core::MultiIntentionAnswerer multi(&engine);
 
   std::string line;

@@ -39,27 +39,22 @@ void UriTokenIndex::Build(const sparql::Endpoint& endpoint) {
       postings_[w].push_back(term.value);
     }
   };
+  auto index_triple = [&](const rdf::Triple& t) {
+    const rdf::Term s = endpoint.StoreTerm(t.s);
+    const rdf::Term p = endpoint.StoreTerm(t.p);
+    const rdf::Term o = endpoint.StoreTerm(t.o);
+    index_iri(s);
+    index_iri(o);
+    // Forward + reverse adjacency entries of the subgraph-matching index
+    // (strings + node overhead).
+    graph_bytes_ += 2 * (s.value.size() + p.value.size() + o.value.size() +
+                         o.datatype.size() + 48);
+    return true;
+  };
   // Baselines pre-process the whole KG (unlike KGQAn), so they scan every
-  // physical store shard through the backend-agnostic facade accessors;
-  // the seen-set dedups IRIs across shards and the byte accounting is an
-  // order-independent sum.
-  for (size_t i = 0; i < endpoint.num_store_shards(); ++i) {
-    endpoint.MatchShard(
-        i, rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
-        [&](const rdf::Triple& t) {
-          const rdf::Term s = endpoint.StoreTerm(t.s);
-          const rdf::Term p = endpoint.StoreTerm(t.p);
-          const rdf::Term o = endpoint.StoreTerm(t.o);
-          index_iri(s);
-          index_iri(o);
-          // Forward + reverse adjacency entries of the subgraph-
-          // matching index (strings + node overhead).
-          graph_bytes_ +=
-              2 * (s.value.size() + p.value.size() + o.value.size() +
-                   o.datatype.size() + 48);
-          return true;
-        });
-  }
+  // triple through the backend-agnostic facade accessors.
+  endpoint.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
+                 index_triple);
 }
 
 std::vector<std::string> UriTokenIndex::Lookup(const std::string& phrase,
@@ -109,35 +104,31 @@ void LabelEnsembleIndex::Build(
     const sparql::Endpoint& endpoint,
     const std::vector<std::string>& label_predicates) {
   nlp::PosTagger tagger;  // Falcon performs POS tagging on descriptions.
-  // Per-predicate scans over every physical store shard (the index is a
-  // pre-processing artifact; KG partitioning only changes scan order, and
-  // each label triple lives in exactly one shard).
+  auto index_label = [&](const rdf::Triple& t) {
+    const rdf::Term subject = endpoint.StoreTerm(t.s);
+    const rdf::Term object = endpoint.StoreTerm(t.o);
+    if (!subject.IsIri() || !object.IsLiteral()) return true;
+    std::string lower = util::ToLower(object.value);
+    exact_[lower].push_back(subject.value);
+    for (const std::string& tok : text::Tokenize(lower)) {
+      // POS-tag each token (cost model of Falcon's linguistic pipeline;
+      // the tag itself is not stored).
+      (void)tagger.Tag(tok);
+      tokens_[tok].push_back(subject.value);
+      // Character trigrams for fuzzy lookup.
+      std::string marked = "^" + tok + "$";
+      for (size_t j = 0; j + 3 <= marked.size(); ++j) {
+        trigrams_[marked.substr(j, 3)].push_back(subject.value);
+      }
+    }
+    return true;
+  };
+  // Per-predicate scans over the store (the index is a pre-processing
+  // artifact).
   for (const std::string& pred : label_predicates) {
     auto pid = endpoint.FindStoreIri(pred);
     if (!pid.has_value()) continue;
-    for (size_t i = 0; i < endpoint.num_store_shards(); ++i) {
-      endpoint.MatchShard(
-          i, rdf::kNullTermId, *pid, rdf::kNullTermId,
-          [&](const rdf::Triple& t) {
-            const rdf::Term subject = endpoint.StoreTerm(t.s);
-            const rdf::Term object = endpoint.StoreTerm(t.o);
-            if (!subject.IsIri() || !object.IsLiteral()) return true;
-            std::string lower = util::ToLower(object.value);
-            exact_[lower].push_back(subject.value);
-            for (const std::string& tok : text::Tokenize(lower)) {
-              // POS-tag each token (cost model of Falcon's
-              // linguistic pipeline; the tag itself is not stored).
-              (void)tagger.Tag(tok);
-              tokens_[tok].push_back(subject.value);
-              // Character trigrams for fuzzy lookup.
-              std::string marked = "^" + tok + "$";
-              for (size_t j = 0; j + 3 <= marked.size(); ++j) {
-                trigrams_[marked.substr(j, 3)].push_back(subject.value);
-              }
-            }
-            return true;
-          });
-    }
+    endpoint.Match(rdf::kNullTermId, *pid, rdf::kNullTermId, index_label);
   }
 }
 

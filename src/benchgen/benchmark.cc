@@ -97,8 +97,7 @@ BenchSpec SpecFor(BenchmarkId id) {
 
 }  // namespace
 
-Benchmark BuildBenchmark(BenchmarkId id, double scale,
-                         const EndpointFactory& endpoint_factory) {
+Benchmark BuildBenchmark(BenchmarkId id, double scale) {
   BenchSpec spec = SpecFor(id);
   BuiltKg kg =
       (spec.flavor == KgFlavor::kDblp || spec.flavor == KgFlavor::kMag)
@@ -127,11 +126,8 @@ Benchmark BuildBenchmark(BenchmarkId id, double scale,
   QuestionGenerator gen(&kg, spec.style, spec.question_seed);
   std::vector<BenchQuestion> questions = gen.Generate(mix);
 
-  bench.endpoint =
-      endpoint_factory
-          ? endpoint_factory(bench.kg_name, std::move(kg.graph))
-          : std::make_unique<sparql::LocalEndpoint>(bench.kg_name,
-                                                    std::move(kg.graph));
+  bench.endpoint = std::make_unique<sparql::LocalEndpoint>(
+      bench.kg_name, std::move(kg.graph));
 
   // Materialize gold answers; drop questions whose gold query returns
   // nothing (or an unreasonably large set) on the actual KG.

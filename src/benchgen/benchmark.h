@@ -5,7 +5,6 @@
 #ifndef KGQAN_BENCHGEN_BENCHMARK_H_
 #define KGQAN_BENCHGEN_BENCHMARK_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,17 +26,10 @@ struct Benchmark {
   std::vector<BenchQuestion> questions;
 };
 
-// Hook to stand the benchmark's KG up behind a different endpoint backend
-// (e.g. serve::ShardedEndpoint); benchgen cannot depend on serve, so the
-// caller supplies the constructor.  Null means the default LocalEndpoint.
-using EndpointFactory = std::function<std::unique_ptr<sparql::Endpoint>(
-    std::string kg_name, rdf::Graph graph)>;
-
 // Builds one of the five paper benchmarks.  `scale` scales both the KG
 // size and the question count (1.0 = the paper's composition at 1/10,000
 // of the KG sizes; tests use small scales).
-Benchmark BuildBenchmark(BenchmarkId id, double scale = 1.0,
-                         const EndpointFactory& endpoint_factory = nullptr);
+Benchmark BuildBenchmark(BenchmarkId id, double scale = 1.0);
 
 // The five benchmarks in paper order.
 std::vector<BenchmarkId> AllBenchmarks();

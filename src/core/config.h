@@ -11,15 +11,6 @@
 
 namespace kgqan::core {
 
-// Physical triple-store layout behind the endpoint facade.  `kV1` is the
-// original six-array hexastore; `kCompact` is the dictionary-compressed,
-// snapshot-capable CSR store (store v2).  Either way answers are
-// byte-identical (the compact differential battery's bar).
-enum class StoreFormat {
-  kV1 = 0,
-  kCompact = 1,
-};
-
 struct KgqanConfig {
   // "Max Fetched Vertices": result cap of the potentialRelevantVertices
   // text query (maxVR; Sec. 5.1).
@@ -127,17 +118,6 @@ struct KgqanConfig {
   // round-trips but bigger queries (and a coarser endpoint row cap).
   size_t max_batch_size = 16;
 
-  // Cooperative cancellation (not a paper parameter): the engine and the
-  // linker poll the calling thread's util::CancelToken between pipeline
-  // hops — before the linking waves, before each candidate query, and at
-  // every endpoint exchange — so a request whose deadline expired stops
-  // issuing linking probes and candidate queries and returns a
-  // partial-or-empty result flagged deadline_exceeded.  Off makes the
-  // pipeline ignore any bound token (bit-exact legacy behaviour); with no
-  // token bound the polls are a thread-local read each, so the default
-  // costs nothing outside the serving front-end.
-  bool cooperative_cancellation = true;
-
   // EXPLAIN ANALYZE (not a paper parameter): collect per-operator runtime
   // statistics — rows in/out, planner cardinality estimate vs. actual,
   // kernel choice, batches — for every executed candidate query into
@@ -146,19 +126,6 @@ struct KgqanConfig {
   // (sampled requests under the serving front-end), so saturated serving
   // pays nothing; on, every request collects.
   bool explain_analyze = false;
-
-  // In-process KG shards behind the endpoint facade (not a paper
-  // parameter): > 1 partitions the triples by subject hash across that
-  // many store shards, evaluated with an ordered cross-shard merge that is
-  // byte-identical to the single-store endpoint (the sharded equivalence
-  // battery's bar).  <= 1 keeps the plain single-store endpoint.  Applied
-  // when the endpoint is built via serve::MakeEndpoint.
-  size_t endpoint_shards = 1;
-
-  // Physical store layout for the endpoint built via serve::MakeEndpoint.
-  // kCompact selects the compressed CSR store (single-store backend only;
-  // endpoint_shards > 1 keeps the v1 sharded backend).
-  StoreFormat store_format = StoreFormat::kV1;
 
   // Question-understanding model variant (Table 4 ablation).
   qu::TriplePatternGenerator::Options qu;

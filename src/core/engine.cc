@@ -41,12 +41,6 @@ std::shared_ptr<AnswerCache> MakeAnswerCache(
                                        config.answer_cache_shards);
 }
 
-// True when the calling thread's request deadline expired (and the config
-// honours it): the pipeline hop that observes this stops issuing work.
-bool Expired(const KgqanConfig& config) {
-  return config.cooperative_cancellation && util::Cancelled();
-}
-
 }  // namespace
 
 std::string Explain(const KgqanResult& result) {
@@ -169,7 +163,7 @@ util::StatusOr<sparql::ResultSet> KgqanEngine::ExecuteCandidateQuery(
   }
 
   auto rs = endpoint.Query(sparql_text);
-  if (rs.ok() && !Expired(config_) && endpoint.generation() == generation) {
+  if (rs.ok() && !util::Cancelled() && endpoint.generation() == generation) {
     // Stored under canonical column names so a hit from a renamed-but-
     // equivalent candidate of another question translates positionally.
     answer_cache_->Put(
@@ -311,7 +305,7 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
   bool value = false;
   if (pool_ == nullptr) {
     for (size_t i = 0; i < bgps.size(); ++i) {
-      if (Expired(config_)) {
+      if (util::Cancelled()) {
         result->deadline_exceeded = true;
         break;
       }
@@ -328,7 +322,7 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
   // first true (in rank order) decides, exactly as the serial early exit.
   const size_t wave = pool_->size();
   for (size_t start = 0; start < bgps.size() && !value; start += wave) {
-    if (Expired(config_)) {
+    if (util::Cancelled()) {
       result->deadline_exceeded = true;
       break;
     }
@@ -389,7 +383,7 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
   if (pool_ == nullptr) {
     for (size_t i = 0; i < bgps.size(); ++i) {
       const Bgp& bgp = bgps[i];
-      if (Expired(config_)) {
+      if (util::Cancelled()) {
         result->deadline_exceeded = true;
         break;
       }
@@ -410,7 +404,7 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
 
   const size_t wave = pool_->size();
   for (size_t start = 0; start < bgps.size(); start += wave) {
-    if (Expired(config_)) {
+    if (util::Cancelled()) {
       result->deadline_exceeded = true;
       return;
     }
@@ -470,7 +464,7 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
 
   // Deadline check between phases: an expired request stops before the
   // first endpoint exchange and returns the partial result.
-  if (Expired(config_)) {
+  if (util::Cancelled()) {
     result.deadline_exceeded = true;
     return result;
   }
@@ -496,7 +490,7 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
     }
     result.response.timings.linking_ms = span.ElapsedMillis();
   }
-  if (Expired(config_)) {
+  if (util::Cancelled()) {
     result.deadline_exceeded = true;
     return result;
   }

@@ -120,11 +120,11 @@ class KgqanEngine : public QaSystem {
   // private counters-only trace, so linking_requests/linking_round_trips
   // are exact either way and span bookkeeping costs nothing.
   //
-  // Deadlines: when Config::cooperative_cancellation is on and the calling
-  // thread has a util::CancelToken bound (see serve::QaServer), the
-  // pipeline polls it between phases, before every candidate query, and at
-  // every endpoint exchange; on expiry it stops issuing work and returns
-  // the partial result with deadline_exceeded set.
+  // Deadlines: when the calling thread has a util::CancelToken bound (see
+  // serve::QaServer), the pipeline polls it between phases, before every
+  // candidate query, and at every endpoint exchange; on expiry it stops
+  // issuing work and returns the partial result with deadline_exceeded
+  // set.
   KgqanResult AnswerFull(const std::string& question,
                          sparql::Endpoint& endpoint,
                          obs::Trace* trace = nullptr) const;

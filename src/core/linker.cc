@@ -35,15 +35,6 @@ obs::Histogram& RelationLinkLatency() {
   return histogram;
 }
 
-// True when the calling thread's request deadline expired (and the config
-// honours it).  Results produced on or after an expiry are partial — the
-// underlying probes fail fast at the endpoint — so they must never reach
-// the linking cache: a poisoned empty entry would outlive the request and
-// serve wrong links to healthy questions.
-bool Expired(const KgqanConfig* config) {
-  return config->cooperative_cancellation && util::Cancelled();
-}
-
 // Truncates a scored vector to its top-k by score (stable for ties).
 template <typename T>
 void KeepTopK(std::vector<T>& items, size_t k) {
@@ -79,7 +70,7 @@ std::vector<RelevantVertex> JitLinker::LinkEntity(
     return *std::move(cached);
   }
   std::vector<RelevantVertex> out = LinkEntityUncached(label, endpoint);
-  if (!Expired(config_)) cache_->PutVertices(label, kg, out);
+  if (!util::Cancelled()) cache_->PutVertices(label, kg, out);
   return out;
 }
 
@@ -161,7 +152,7 @@ std::string JitLinker::PredicateDescription(const std::string& iri,
       }
     }
   }
-  if (cache_ != nullptr && !Expired(config_)) {
+  if (cache_ != nullptr && !util::Cancelled()) {
     cache_->PutPredicateDescription(iri, kg, description);
   }
   return description;
@@ -352,7 +343,7 @@ void JitLinker::LinkNodesBatched(const qu::Pgp& pgp, Agp* agp,
     }
     for (size_t k = 0; k < chunk.size(); ++k) {
       std::vector<RelevantVertex> out = ScoreEntityRows(chunk[k], rows[k]);
-      if (cache_ != nullptr && !Expired(config_)) {
+      if (cache_ != nullptr && !util::Cancelled()) {
         cache_->PutVertices(chunk[k], kg, out);
       }
       resolved.emplace(chunk[k], std::move(out));
@@ -497,7 +488,7 @@ void JitLinker::LinkEdgesBatched(Agp* agp,
         it->second->push_back(p->value);
       }
     }
-    if (cache_ != nullptr && !Expired(config_)) {
+    if (cache_ != nullptr && !util::Cancelled()) {
       for (const Probe& pr : chunk) {
         const auto& preds = resolved[key_of(pr.iri, pr.vertex_is_object)];
         if (preds.has_value()) {

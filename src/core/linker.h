@@ -14,11 +14,11 @@
 // predicate descriptions are memoized across questions, keyed by (phrase,
 // endpoint identity, mode).
 //
-// Cancellation: with Config::cooperative_cancellation set, probes issued
-// after the calling thread's util::CancelToken expires fail fast at the
-// endpoint, and *no* result computed on-or-after the expiry is written to
-// the linking cache — a cancelled wave must not poison the cache with
-// partial (typically empty) link sets for later questions.
+// Cancellation: probes issued after the calling thread's util::CancelToken
+// expires fail fast at the endpoint, and *no* result computed on-or-after
+// the expiry is written to the linking cache — a cancelled wave must not
+// poison the cache with partial (typically empty) link sets for later
+// questions.
 
 #ifndef KGQAN_CORE_LINKER_H_
 #define KGQAN_CORE_LINKER_H_

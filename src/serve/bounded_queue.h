@@ -13,6 +13,10 @@
 // producer/consumer interleavings): size() never exceeds capacity(),
 // items pushed by one producer are popped in that producer's order, and
 // every successfully pushed item is popped exactly once.
+//
+// An optional depth gauge is updated under the queue lock on every push
+// and pop, so its value is always exactly size() and its high-water mark
+// never exceeds capacity(), even under concurrent producers and consumers.
 
 #ifndef KGQAN_SERVE_BOUNDED_QUEUE_H_
 #define KGQAN_SERVE_BOUNDED_QUEUE_H_
@@ -24,6 +28,8 @@
 #include <optional>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace kgqan::serve {
 
 template <typename T>
@@ -31,8 +37,8 @@ class BoundedQueue {
  public:
   enum class PushResult { kOk, kFull, kClosed };
 
-  explicit BoundedQueue(size_t capacity)
-      : capacity_(capacity > 0 ? capacity : 1) {}
+  explicit BoundedQueue(size_t capacity, obs::Gauge* depth = nullptr)
+      : capacity_(capacity > 0 ? capacity : 1), depth_(depth) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -44,6 +50,7 @@ class BoundedQueue {
       if (closed_) return PushResult::kClosed;
       if (items_.size() >= capacity_) return PushResult::kFull;
       items_.push_back(std::move(item));
+      if (depth_ != nullptr) depth_->Add(1);
     }
     not_empty_.notify_one();
     return PushResult::kOk;
@@ -54,19 +61,13 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mutex_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return PopFrontLocked();
   }
 
   // Non-blocking variant; nullopt when currently empty (closed or not).
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return PopFrontLocked();
   }
 
   // Stops admission and wakes all blocked Pop()s; idempotent.
@@ -91,7 +92,17 @@ class BoundedQueue {
   size_t capacity() const { return capacity_; }
 
  private:
+  // Requires mutex_ held; nullopt when empty.
+  std::optional<T> PopFrontLocked() {
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
+    if (depth_ != nullptr) depth_->Sub(1);
+    return item;
+  }
+
   const size_t capacity_;
+  obs::Gauge* const depth_;  // Not owned; may be null.
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

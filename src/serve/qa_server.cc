@@ -30,9 +30,11 @@ QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
     : engines_(std::move(engines)),
       endpoint_(endpoint),
       options_(options),
-      queue_(options.queue_capacity) {
+      // The queue publishes its depth under its own lock, so the gauge is
+      // exact and its high-water mark never exceeds the capacity.
+      queue_(options.queue_capacity,
+             &obs::MetricsRegistry::Global().GetGauge("serve.queue_depth")) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  metric_queue_depth_ = &registry.GetGauge("serve.queue_depth");
   metric_admitted_ = &registry.GetCounter("serve.admitted");
   metric_rejected_overloaded_ =
       &registry.GetCounter("serve.rejected.overloaded");
@@ -103,7 +105,6 @@ util::StatusOr<std::future<QaServerResponse>> QaServer::Submit(
     case BoundedQueue<Request>::PushResult::kOk:
       admitted_.fetch_add(1, std::memory_order_relaxed);
       metric_admitted_->Add(1);
-      metric_queue_depth_->Add(1);
       return future;
     case BoundedQueue<Request>::PushResult::kFull:
       FinishOne();
@@ -130,7 +131,6 @@ void QaServer::WorkerLoop(size_t worker_index) {
   const core::KgqanEngine* engine =
       engines_[worker_index % engines_.size()];
   while (std::optional<Request> request = queue_.Pop()) {
-    metric_queue_depth_->Sub(1);
     QaServerResponse response;
     response.question = request->question;
     response.queue_ms = request->admitted.ElapsedMillis();

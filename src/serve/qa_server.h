@@ -235,7 +235,6 @@ class QaServer {
   AdminListener admin_;
 
   // Process-wide registry metrics (resolved once in the constructor).
-  obs::Gauge* metric_queue_depth_;
   obs::Counter* metric_admitted_;
   obs::Counter* metric_rejected_overloaded_;
   obs::Counter* metric_rejected_unavailable_;

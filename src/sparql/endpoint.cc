@@ -23,10 +23,7 @@ Endpoint::Endpoint(std::string name, EndpointOptions options)
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
   if (options.intra_query_threads != 1) {
-    // Virtual, but derived overrides only add derived-side configuration;
-    // the base implementation (the one a base ctor dispatches to) is the
-    // part that must run here.
-    Endpoint::set_intra_query_threads(options.intra_query_threads);
+    set_intra_query_threads(options.intra_query_threads);
   }
   if (options.vectorized_eval) {
     set_vectorized_eval(true);
@@ -53,7 +50,8 @@ util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
   return QueryBatch(sparql, 1);
 }
 
-bool Endpoint::CancellableSleepUs(int64_t us) {
+bool Endpoint::SleepInjectedLatency() const {
+  const int64_t us = injected_latency_us_.load(std::memory_order_relaxed);
   if (us <= 0) return true;
   // Chunked sleep so an expiring deadline interrupts the simulated network
   // wait promptly instead of after the full injected latency.
@@ -64,11 +62,6 @@ bool Endpoint::CancellableSleepUs(int64_t us) {
     std::this_thread::sleep_for(std::chrono::microseconds(kChunkUs));
   }
   return !util::Cancelled();
-}
-
-bool Endpoint::SleepInjectedLatency() const {
-  return CancellableSleepUs(
-      injected_latency_us_.load(std::memory_order_relaxed));
 }
 
 void Endpoint::RecordCancelled() {
@@ -119,7 +112,14 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
     RecordCancelled();
     return util::Status::DeadlineExceeded("query abandoned: deadline expired");
   }
-  util::StatusOr<ResultSet> result = EvaluateQuery(sparql);
+  util::StatusOr<sparql::Query> parsed = ParseQuery(sparql);
+  util::StatusOr<ResultSet> result = parsed.status();
+  if (parsed.ok()) {
+    // Shared lock: the store and text index are read-only during
+    // evaluation; only AddNTriples mutates them (under the unique lock).
+    std::shared_lock<std::shared_mutex> lock(data_mutex_);
+    result = Evaluate(*parsed);
+  }
   metric_query_latency_ms_->Record(span.watch().ElapsedMillis());
   if (result.ok()) {
     if (span.recording()) {
@@ -131,9 +131,8 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
                                                    : result->NumRows()));
     }
   } else if (result.status().code() == util::StatusCode::kDeadlineExceeded) {
-    // The evaluator (or a backend-side wait) unwound on the request
-    // deadline: that is a cancellation (like an abandoned in-flight
-    // exchange), not an error.
+    // The evaluator unwound on the request deadline: that is a
+    // cancellation (like an abandoned in-flight exchange), not an error.
     RecordCancelled();
     span.AddAttribute("error", result.status().message());
   } else {
@@ -168,13 +167,9 @@ LocalEndpoint::LocalEndpoint(std::string name, rdf::Graph graph,
   PublishStoreGauges();
 }
 
-util::StatusOr<ResultSet> LocalEndpoint::EvaluateQuery(
-    std::string_view sparql) {
-  KGQAN_ASSIGN_OR_RETURN(sparql::Query query, ParseQuery(sparql));
-  // Shared lock: the store and text index are read-only during evaluation;
-  // only AddNTriples mutates them (under the unique lock).
-  std::shared_lock<std::shared_mutex> lock(data_mutex());
-  return Evaluate(query, store_, *text_index_, eval_options_);
+util::StatusOr<ResultSet> LocalEndpoint::Evaluate(
+    const sparql::Query& query) const {
+  return sparql::Evaluate(query, store_, *text_index_, eval_options_);
 }
 
 size_t LocalEndpoint::InsertTriples(
@@ -223,11 +218,9 @@ util::StatusOr<std::unique_ptr<CompactEndpoint>> CompactEndpoint::FromSnapshot(
       new CompactEndpoint(std::move(name), std::move(store), options));
 }
 
-util::StatusOr<ResultSet> CompactEndpoint::EvaluateQuery(
-    std::string_view sparql) {
-  KGQAN_ASSIGN_OR_RETURN(sparql::Query query, ParseQuery(sparql));
-  std::shared_lock<std::shared_mutex> lock(data_mutex());
-  return Evaluate(query, store_, *text_index_, eval_options_);
+util::StatusOr<ResultSet> CompactEndpoint::Evaluate(
+    const sparql::Query& query) const {
+  return sparql::Evaluate(query, store_, *text_index_, eval_options_);
 }
 
 size_t CompactEndpoint::InsertTriples(

@@ -2,13 +2,14 @@
 // knowledge graph, mirroring the publicly accessible HTTP API of Virtuoso /
 // Stardog / Jena endpoints (Figure 2 of the paper).
 //
-// `Endpoint` is the abstract facade: it owns the request/round-trip/error
-// accounting, tracing, cancellation and injected-latency behavior shared by
-// every backend, and leaves storage and evaluation to subclasses.
-// `LocalEndpoint` is the original single-store backend (one TripleStore +
-// its built-in full-text index); `serve::ShardedEndpoint` partitions the
-// same KG across subject-hash shards behind the identical API.  Engine,
-// QaServer, the answer cache and the admin plane only ever see `Endpoint`.
+// `Endpoint` is the abstract facade: it owns parsing, the data lock, the
+// request/round-trip/error accounting, tracing, cancellation and
+// injected-latency behavior shared by every backend, and leaves storage
+// and evaluation to subclasses.  `LocalEndpoint` is the original
+// single-store backend (one TripleStore + its built-in full-text index);
+// `CompactEndpoint` serves the same KG from the compressed, snapshot-capable
+// CompactStore.  Engine, QaServer, the answer cache and the admin plane
+// only ever see `Endpoint`.
 //
 // Thread-safety: Query() may be called concurrently from any number of
 // threads (the store, text index and evaluator are read-only on the query
@@ -105,19 +106,14 @@ class Endpoint {
   // Number of triples in the KG.
   virtual size_t NumTriples() const = 0;
 
-  // Physical store layout, for index-building baselines (which, unlike
+  // Physical store access, for index-building baselines (which, unlike
   // KGQAn, pre-process the KG) and tests.  The accessors are
-  // backend-agnostic — v1 arrays, subject-hash shards and the compressed
-  // compact store all answer them — so facade consumers never name a
-  // concrete store type.  Iterating every shard's MatchShard visits every
-  // triple exactly once; term ids are endpoint-global (sharded backends
-  // share one dictionary).
-  virtual size_t num_store_shards() const = 0;
-  // Calls `fn(triple)` for every triple of shard `shard` matching the
-  // pattern (kNullTermId components are wildcards); `fn` returns false to
-  // stop early.
-  virtual void MatchShard(
-      size_t shard, rdf::TermId s, rdf::TermId p, rdf::TermId o,
+  // backend-agnostic — the v1 arrays and the compressed compact store both
+  // answer them — so facade consumers never name a concrete store type.
+  // Calls `fn(triple)` for every triple matching the pattern (kNullTermId
+  // components are wildcards); `fn` returns false to stop early.
+  virtual void Match(
+      rdf::TermId s, rdf::TermId p, rdf::TermId o,
       const std::function<bool(const rdf::Triple&)>& fn) const = 0;
   // Term with id `id`, by value: a compact backend decodes terms on
   // demand from its front-coded dictionary, so there may be no stored
@@ -125,7 +121,6 @@ class Endpoint {
   virtual rdf::Term StoreTerm(rdf::TermId id) const = 0;
   virtual std::optional<rdf::TermId> FindStoreIri(
       std::string_view iri) const = 0;
-  virtual size_t ShardNumTriples(size_t shard) const = 0;
 
   // Approximate bytes held by the backend's indexes and dictionary.
   virtual size_t ApproxIndexBytes() const = 0;
@@ -162,7 +157,7 @@ class Endpoint {
   // util::ParallelFor) and shards join steps across it; n == 1 drops the
   // pool and restores the exact serial path; n == 0 means hardware
   // concurrency.  Configuration call — do not race against queries.
-  virtual void set_intra_query_threads(size_t n);
+  void set_intra_query_threads(size_t n);
   size_t intra_query_threads() const {
     return eval_options_.intra_query_threads;
   }
@@ -193,42 +188,33 @@ class Endpoint {
  protected:
   Endpoint(std::string name, EndpointOptions options);
 
-  // Backend hook: parse and evaluate one query text.  Runs outside the
-  // data lock — implementations take the shared data_mutex() themselves,
-  // so backend-specific pre-evaluation waits (e.g. a sharded endpoint's
-  // per-shard latency injection) never stall AddNTriples writers.
-  virtual util::StatusOr<ResultSet> EvaluateQuery(std::string_view sparql) = 0;
+  // Backend hook: evaluate one parsed query with eval_options_.  Called
+  // under the shared data lock, so it may read the store and text index
+  // freely.
+  virtual util::StatusOr<ResultSet> Evaluate(
+      const sparql::Query& query) const = 0;
 
   // Backend hook: insert pre-parsed term triples and refresh any derived
-  // indexes.  Called under the unique data_mutex() lock; returns the
-  // number of genuinely new triples.
+  // indexes.  Called under the unique data lock; returns the number of
+  // genuinely new triples.
   virtual size_t InsertTriples(
       const std::vector<std::array<rdf::Term, 3>>& triples) = 0;
-
-  // Readers-writer lock between EvaluateQuery (shared) and InsertTriples
-  // (unique, taken by AddNTriples).
-  std::shared_mutex& data_mutex() { return data_mutex_; }
-
-  // Sleeps ~`us` microseconds in 200µs chunks, polling the calling
-  // thread's cancellation token; false when the deadline expired mid-wait.
-  static bool CancellableSleepUs(int64_t us);
-
-  // Records one cancelled query (metrics + trace attribution).
-  void RecordCancelled();
 
   // Sets registry gauge `name` to an absolute value (gauges only expose
   // Add/Sub, so this publishes the delta against the live value).  Used
   // by backends to surface store memory in /stats: `store.index_bytes`,
-  // `store.dict_bytes`, `store.overlay_triples` (suffixed `.<shard>` on
-  // sharded backends).
+  // `store.dict_bytes`, `store.overlay_triples`.
   static void SetGauge(std::string_view name, size_t value);
 
   EvalOptions eval_options_;
 
  private:
-  // Sleeps the injected latency in small chunks, returning false if the
-  // calling thread's cancellation token expired mid-wait.
+  // Sleeps the injected latency in 200µs chunks, polling the calling
+  // thread's cancellation token; false when the deadline expired mid-wait.
   bool SleepInjectedLatency() const;
+
+  // Records one cancelled query (metrics + trace attribution).
+  void RecordCancelled();
 
   std::string name_;
   // Workers for sharded evaluation (eval_options_.eval_pool points here);
@@ -246,6 +232,8 @@ class Endpoint {
   std::atomic<size_t> cancelled_count_{0};
   std::atomic<int64_t> injected_latency_us_{0};
   std::atomic<size_t> generation_{0};
+  // Readers-writer lock between Evaluate (shared) and InsertTriples
+  // (unique, taken by AddNTriples).
   std::shared_mutex data_mutex_;
 };
 
@@ -258,10 +246,8 @@ class LocalEndpoint : public Endpoint {
                 EndpointOptions options = {});
 
   size_t NumTriples() const override { return store_.size(); }
-  size_t num_store_shards() const override { return 1; }
-  void MatchShard(
-      size_t, rdf::TermId s, rdf::TermId p, rdf::TermId o,
-      const std::function<bool(const rdf::Triple&)>& fn) const override {
+  void Match(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+             const std::function<bool(const rdf::Triple&)>& fn) const override {
     store_.Match(s, p, o, fn);
   }
   rdf::Term StoreTerm(rdf::TermId id) const override {
@@ -271,7 +257,6 @@ class LocalEndpoint : public Endpoint {
       std::string_view iri) const override {
     return store_.dictionary().FindIri(iri);
   }
-  size_t ShardNumTriples(size_t) const override { return store_.size(); }
   size_t ApproxIndexBytes() const override {
     return store_.ApproxIndexBytes();
   }
@@ -282,7 +267,7 @@ class LocalEndpoint : public Endpoint {
   const text::TextIndex& text_index() const { return *text_index_; }
 
  protected:
-  util::StatusOr<ResultSet> EvaluateQuery(std::string_view sparql) override;
+  util::StatusOr<ResultSet> Evaluate(const sparql::Query& query) const override;
   size_t InsertTriples(
       const std::vector<std::array<rdf::Term, 3>>& triples) override;
 
@@ -313,10 +298,8 @@ class CompactEndpoint : public Endpoint {
       EndpointOptions options = {});
 
   size_t NumTriples() const override { return store_.size(); }
-  size_t num_store_shards() const override { return 1; }
-  void MatchShard(
-      size_t, rdf::TermId s, rdf::TermId p, rdf::TermId o,
-      const std::function<bool(const rdf::Triple&)>& fn) const override {
+  void Match(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+             const std::function<bool(const rdf::Triple&)>& fn) const override {
     store_.Match(s, p, o, fn);
   }
   rdf::Term StoreTerm(rdf::TermId id) const override {
@@ -326,7 +309,6 @@ class CompactEndpoint : public Endpoint {
       std::string_view iri) const override {
     return store_.dictionary().FindIri(iri);
   }
-  size_t ShardNumTriples(size_t) const override { return store_.size(); }
   size_t ApproxIndexBytes() const override {
     return store_.ApproxIndexBytes();
   }
@@ -340,7 +322,7 @@ class CompactEndpoint : public Endpoint {
   const text::TextIndex& text_index() const { return *text_index_; }
 
  protected:
-  util::StatusOr<ResultSet> EvaluateQuery(std::string_view sparql) override;
+  util::StatusOr<ResultSet> Evaluate(const sparql::Query& query) const override;
   size_t InsertTriples(
       const std::vector<std::array<rdf::Term, 3>>& triples) override;
 

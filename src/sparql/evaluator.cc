@@ -17,8 +17,6 @@
 #include "obs/trace.h"
 #include "sparql/planner.h"
 #include "store/compact_store.h"
-#include "store/sharded_store.h"
-#include "text/sharded_text_index.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 
@@ -202,17 +200,16 @@ enum class CompKind : uint8_t {
   kMixed,    // Bound in some rows only: probe per row.
 };
 
-// Generic over the store/text-index pair: store::TripleStore +
-// text::TextIndex (the single-store path) or store::ShardedStore +
-// text::ShardedTextIndex.  StoreT supplies dictionary(), Locate() ->
-// StoreT::Range, Match/MatchRange, Partition(Range, n) and
-// EstimateMatches with identical semantics; every ordering and cap
-// decision below is expressed against that contract, which is what makes
-// the sharded backend byte-identical to the single store.
-template <typename StoreT, typename TextT>
+// Generic over the store: store::TripleStore (v1) or store::CompactStore.
+// StoreT supplies dictionary(), Locate() -> StoreT::Range,
+// Match/MatchRange, Partition(Range, n) and EstimateMatches with identical
+// semantics; every ordering and cap decision below is expressed against
+// that contract, which is what makes the compact store byte-identical to
+// v1 on the same graph.
+template <typename StoreT>
 class Evaluator {
  public:
-  Evaluator(const StoreT& store, const TextT& text_index,
+  Evaluator(const StoreT& store, const text::TextIndex& text_index,
             const EvalOptions& options)
       : store_(store), text_index_(text_index), options_(options),
         profile_(CurrentEvalProfile()) {
@@ -1555,7 +1552,7 @@ class Evaluator {
   }
 
   const StoreT& store_;
-  const TextT& text_index_;
+  const text::TextIndex& text_index_;
   const EvalOptions& options_;
   SlotMap slots_;
   // Query-local dictionary overlay for VALUES terms absent from the store
@@ -1578,10 +1575,10 @@ class Evaluator {
 
 // One evaluation, generic over the backend.  Both public overloads land
 // here; the registry counters resolve to the same entries either way, so
-// sharded and unsharded endpoints share one metric namespace.
-template <typename StoreT, typename TextT>
+// both stores share one metric namespace.
+template <typename StoreT>
 StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
-                                 const TextT& text_index,
+                                 const text::TextIndex& text_index,
                                  const EvalOptions& options) {
   // Registry instrumentation: evaluation volume and result-set sizes
   // (bucket bounds are row counts, not latencies).
@@ -1592,7 +1589,7 @@ StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
           "sparql.evaluator.result_rows",
           {0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
   evaluations.Add(1);
-  Evaluator<StoreT, TextT> evaluator(store, text_index, options);
+  Evaluator<StoreT> evaluator(store, text_index, options);
   StatusOr<ResultSet> result = evaluator.Run(query);
   if (result.ok() && !result->is_ask()) {
     result_rows.Record(double(result->NumRows()));
@@ -1653,13 +1650,6 @@ StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
 StatusOr<ResultSet> Evaluate(const Query& query,
                              const store::TripleStore& store,
                              const text::TextIndex& text_index,
-                             const EvalOptions& options) {
-  return EvaluateImpl(query, store, text_index, options);
-}
-
-StatusOr<ResultSet> Evaluate(const Query& query,
-                             const store::ShardedStore& store,
-                             const text::ShardedTextIndex& text_index,
                              const EvalOptions& options) {
   return EvaluateImpl(query, store, text_index, options);
 }

@@ -32,12 +32,7 @@ class ThreadPool;
 
 namespace kgqan::store {
 class CompactStore;
-class ShardedStore;
 }  // namespace kgqan::store
-
-namespace kgqan::text {
-class ShardedTextIndex;
-}  // namespace kgqan::text
 
 namespace kgqan::sparql {
 
@@ -132,15 +127,6 @@ EvalProfile* CurrentEvalProfile();
 util::StatusOr<ResultSet> Evaluate(const Query& query,
                                    const store::TripleStore& store,
                                    const text::TextIndex& text_index,
-                                   const EvalOptions& options = {});
-
-// Sharded-backend overload: same evaluator, same plan, same rows in the
-// same order (the ShardedStore's ordered cross-shard merge reproduces the
-// single-store index order, and its Locate estimates are sum-exact, so
-// the planner picks identical join orders).
-util::StatusOr<ResultSet> Evaluate(const Query& query,
-                                   const store::ShardedStore& store,
-                                   const text::ShardedTextIndex& text_index,
                                    const EvalOptions& options = {});
 
 // Compact-store overload (store v2): same evaluator and planner on the

@@ -61,10 +61,9 @@ inline constexpr size_t kBoundDiscount = 64;
 // components index the store exactly (Locate range size via
 // EstimateMatches); components whose slot is bound are treated as constants
 // of unknown value, each dividing the estimate by a fixed fan-in heuristic.
-// A dead pattern estimates 0.  Generic over the store: a ShardedStore's
-// estimate is the summed per-shard range width — exactly the single-store
-// range width over the same triples — so sharded plans are identical to
-// unsharded plans by construction.
+// A dead pattern estimates 0.  Generic over the store: the compact store's
+// range width counts exactly the matching triples, as v1's does, so both
+// stores produce identical plans by construction.
 template <typename StoreT>
 size_t EstimateTripleCost(const StoreT& store, const CompiledTriple& cp,
                           const std::vector<bool>& bound) {

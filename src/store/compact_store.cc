@@ -347,10 +347,6 @@ size_t CompactStore::Insert(
   }
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  return InsertIds(std::move(fresh));
-}
-
-size_t CompactStore::InsertIds(std::vector<Triple> fresh) {
   if (fresh.empty()) return 0;
   for (size_t i = 0; i < 6; ++i) {
     const Perm perm = static_cast<Perm>(i);

@@ -105,10 +105,6 @@ class CompactStore {
   // duplicates ignored).  Returns the number of genuinely new triples.
   size_t Insert(const std::vector<std::array<rdf::Term, 3>>& triples);
 
-  // Id-level insert for pre-interned triples: `fresh` must be sorted,
-  // unique, and disjoint from the store.
-  size_t InsertIds(std::vector<Triple> fresh);
-
   // Removes every triple matching the pattern.  Overlay victims are
   // removed in place; any base victim forces a rebuild of the compressed
   // indexes (exact range counts admit no tombstones).

@@ -8,8 +8,9 @@
 
 namespace kgqan::store {
 
-void TripleStore::BuildIndexes(std::vector<Triple> base,
-                               size_t build_threads) {
+TripleStore::TripleStore(rdf::Graph graph, size_t build_threads)
+    : graph_(std::move(graph)) {
+  std::vector<Triple> base(graph_.triples().begin(), graph_.triples().end());
   std::sort(base.begin(), base.end());
   base.erase(std::unique(base.begin(), base.end()), base.end());
   indexes_[0] = std::move(base);  // SPO is the canonical sort order.
@@ -29,19 +30,6 @@ void TripleStore::BuildIndexes(std::vector<Triple> base,
   }
 }
 
-TripleStore::TripleStore(rdf::Graph graph, size_t build_threads)
-    : graph_(std::move(graph)) {
-  BuildIndexes({graph_.triples().begin(), graph_.triples().end()},
-               build_threads);
-}
-
-TripleStore::TripleStore(std::vector<Triple> triples,
-                         const rdf::TermDictionary* shared_dictionary,
-                         size_t build_threads)
-    : shared_dict_(shared_dictionary) {
-  BuildIndexes(std::move(triples), build_threads);
-}
-
 size_t TripleStore::Insert(
     const std::vector<std::array<rdf::Term, 3>>& triples) {
   // Intern and deduplicate the batch against the existing store.
@@ -57,11 +45,8 @@ size_t TripleStore::Insert(
   }
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  return InsertIds(std::move(fresh));
-}
-
-size_t TripleStore::InsertIds(std::vector<Triple> fresh) {
   if (fresh.empty()) return 0;
+  // Each permutation index is merged in O(existing + new).
   for (size_t i = 0; i < 6; ++i) {
     Perm perm = static_cast<Perm>(i);
     std::vector<Triple> batch = fresh;

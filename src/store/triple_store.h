@@ -29,10 +29,10 @@ using rdf::Triple;
 enum class Perm : uint8_t { kSpo = 0, kSop, kPso, kPos, kOsp, kOps };
 
 // Key extractor per permutation: the (k1, k2, k3) sort key of a triple in
-// that index.  Keys are globally unique within one logical triple set (a
-// permutation key permutes all three components of a distinct triple), so
-// per-shard sorted runs merge into the single-store index order without
-// ties — the property ShardedStore's ordered merge relies on.
+// that index.  Keys are unique within one triple set (a permutation key
+// permutes all three components of a distinct triple), so every index
+// order is total — the property the compact store's base/overlay merge
+// relies on.
 inline std::tuple<TermId, TermId, TermId> PermKey(Perm perm, const Triple& t) {
   switch (perm) {
     case Perm::kSpo:
@@ -92,7 +92,7 @@ struct ScanRange {
 
 class TripleStore {
  public:
-  // The scan-range type evaluation code should name (ShardedStore exposes
+  // The scan-range type evaluation code should name (CompactStore exposes
   // its own Range; the evaluator is generic over both).
   using Range = ScanRange;
 
@@ -102,22 +102,12 @@ class TripleStore {
   // unchanged serial build.
   explicit TripleStore(rdf::Graph graph, size_t build_threads = 1);
 
-  // Shard constructor: indexes pre-interned id-triples against an external
-  // dictionary owned by the caller (ShardedStore), which must outlive the
-  // store.  Interning calls (Insert) are the owner's job; use InsertIds for
-  // updates.
-  TripleStore(std::vector<Triple> triples,
-              const rdf::TermDictionary* shared_dictionary,
-              size_t build_threads = 1);
-
   TripleStore(const TripleStore&) = delete;
   TripleStore& operator=(const TripleStore&) = delete;
   TripleStore(TripleStore&&) = default;
   TripleStore& operator=(TripleStore&&) = default;
 
-  const rdf::TermDictionary& dictionary() const {
-    return shared_dict_ != nullptr ? *shared_dict_ : graph_.dictionary();
-  }
+  const rdf::TermDictionary& dictionary() const { return graph_.dictionary(); }
   rdf::TermDictionary& mutable_dictionary() { return graph_.dictionary(); }
 
   // Number of distinct triples.
@@ -127,11 +117,6 @@ class TripleStore {
   // dictionary; duplicates are ignored).  Each permutation index is merged
   // in O(existing + new).  Returns the number of genuinely new triples.
   size_t Insert(const std::vector<std::array<rdf::Term, 3>>& triples);
-
-  // Id-level insert for pre-interned triples (the shard update path):
-  // `fresh` must be sorted, unique, and disjoint from the store.  Each
-  // permutation index is merged in O(existing + new).
-  size_t InsertIds(std::vector<Triple> fresh);
 
   // Removes every triple matching the pattern (kNullTermId components are
   // wildcards).  Returns the number of removed triples.  Dictionary
@@ -194,13 +179,6 @@ class TripleStore {
   // True if the fully bound triple exists.
   bool Contains(TermId s, TermId p, TermId o) const;
 
-  // Direct read access to one permutation index (sorted by PermKey) — the
-  // substrate of ShardedStore's cross-shard ordered merge and key-boundary
-  // partitioning.
-  const std::vector<Triple>& index(Perm perm) const {
-    return indexes_[static_cast<size_t>(perm)];
-  }
-
   // Distinct predicates appearing in triples with subject `v`
   // (outgoingPredicate(v) of Sec. 5.2) / with object `v`
   // (incomingPredicate(v)).
@@ -208,11 +186,9 @@ class TripleStore {
   std::vector<TermId> IncomingPredicates(TermId v) const;
 
   // Approximate bytes held by the store: the actual capacity of each of
-  // the six permutation indexes plus the term dictionary when the store
-  // owns it (a shard's shared dictionary is accounted by its owner).
+  // the six permutation indexes plus the term dictionary.
   size_t ApproxIndexBytes() const {
-    size_t bytes =
-        shared_dict_ == nullptr ? graph_.dictionary().ApproxBytes() : 0;
+    size_t bytes = graph_.dictionary().ApproxBytes();
     for (const std::vector<Triple>& index : indexes_) {
       bytes += index.capacity() * sizeof(Triple);
     }
@@ -220,14 +196,7 @@ class TripleStore {
   }
 
  private:
-  // Sorts/dedups `base` into the canonical SPO index and builds the five
-  // other permutations from it.
-  void BuildIndexes(std::vector<Triple> base, size_t build_threads);
-
   rdf::Graph graph_;
-  // Externally owned dictionary of a ShardedStore shard; null when the
-  // store owns its own terms (graph_).
-  const rdf::TermDictionary* shared_dict_ = nullptr;
   // indexes_[Perm]; each holds all triples sorted in that key order.
   std::array<std::vector<Triple>, 6> indexes_;
 };

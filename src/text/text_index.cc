@@ -86,22 +86,8 @@ void TextIndex::SortPostings() {
 
 std::vector<rdf::TermId> TextIndex::MatchLiterals(const ContainsQuery& query,
                                                   size_t limit) const {
-  std::vector<std::pair<uint32_t, rdf::TermId>> ranked =
-      MatchLiteralsScored(query, limit);
-  std::vector<rdf::TermId> out;
-  out.reserve(ranked.size());
-  for (const auto& [hits, id] : ranked) {
-    (void)hits;
-    out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<std::pair<uint32_t, rdf::TermId>> TextIndex::MatchLiteralsScored(
-    const ContainsQuery& query, size_t limit) const {
   // score = number of distinct query words contained in the literal.
   std::unordered_map<rdf::TermId, uint32_t> word_hits;
-  std::unordered_map<rdf::TermId, bool> satisfies;
 
   // Collect all distinct query words for scoring.
   std::vector<std::string> words;
@@ -151,7 +137,13 @@ std::vector<std::pair<uint32_t, rdf::TermId>> TextIndex::MatchLiteralsScored(
     return a.second < b.second;                        // Stable tiebreak.
   });
   if (ranked.size() > limit) ranked.resize(limit);
-  return ranked;
+  std::vector<rdf::TermId> out;
+  out.reserve(ranked.size());
+  for (const auto& [hits, id] : ranked) {
+    (void)hits;
+    out.push_back(id);
+  }
+  return out;
 }
 
 size_t TextIndex::ApproxIndexBytes() const {

@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "rdf/term_dictionary.h"
@@ -68,14 +67,6 @@ class TextIndex {
   // as a relevance-ordered text index would.
   std::vector<rdf::TermId> MatchLiterals(const ContainsQuery& query,
                                          size_t limit) const;
-
-  // MatchLiterals with the scores kept: (word hits, literal id), ranked
-  // (hits descending, id ascending), truncated to `limit`.  Scores are
-  // literal-local (distinct query words the literal contains — no corpus
-  // statistics), so per-shard top-k lists merge rank-stably into the exact
-  // global top-k: ShardedTextIndex's contract.
-  std::vector<std::pair<uint32_t, rdf::TermId>> MatchLiteralsScored(
-      const ContainsQuery& query, size_t limit) const;
 
   // Number of indexed (token -> literal) postings.
   size_t posting_count() const { return posting_count_; }

@@ -38,8 +38,8 @@ void ThreadPool::WorkerLoop() {
       if (tasks_.empty()) return;  // stopping_ and fully drained.
       task = std::move(tasks_.front());
       tasks_.pop_front();
+      Metrics().queue_depth->Sub(1);
     }
-    Metrics().queue_depth->Sub(1);
     task();  // packaged_task captures exceptions into the future.
   }
 }

@@ -81,8 +81,10 @@ class ThreadPool {
         (*task)();
         Metrics().task_ms->Record(run.ElapsedMillis());
       });
+      // Under the lock, like the worker's Sub, so the gauge never dips
+      // below zero or counts a task a worker already dequeued.
+      Metrics().queue_depth->Add(1);
     }
-    Metrics().queue_depth->Add(1);
     ready_.notify_one();
     return result;
   }

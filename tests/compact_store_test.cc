@@ -1,8 +1,8 @@
 // Unit tests for the compact (CSR + front-coded dictionary) triple store:
 // v1 equivalence on every bound-component combination, Locate/Partition
 // coverage with and without a live overlay, erase/compaction behaviour,
-// snapshot round trips with corruption rejection, dict-once byte
-// accounting, and the per-endpoint store gauges.
+// snapshot round trips with corruption rejection, and the per-endpoint
+// store gauges.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +16,8 @@
 
 #include "obs/metrics.h"
 #include "rdf/graph.h"
-#include "serve/sharded_endpoint.h"
 #include "sparql/endpoint.h"
 #include "store/compact_store.h"
-#include "store/sharded_store.h"
 #include "store/triple_store.h"
 #include "util/rng.h"
 
@@ -305,18 +303,6 @@ TEST(CompactStoreTest, RejectsCorruptedAndTruncatedSnapshots) {
   std::remove(path.c_str());
 }
 
-// The sharded store counts the shared dictionary exactly once: shard
-// TripleStores report index bytes only, the owner adds the dictionary.
-TEST(CompactStoreTest, ShardedStoreCountsDictionaryOnce) {
-  ShardedStore sharded(RandomGraph(41, 800), /*num_shards=*/4);
-  size_t shard_sum = 0;
-  for (size_t i = 0; i < sharded.num_shards(); ++i) {
-    shard_sum += sharded.shard(i).ApproxIndexBytes();
-  }
-  EXPECT_EQ(sharded.ApproxIndexBytes(),
-            shard_sum + sharded.dictionary().ApproxBytes());
-}
-
 // Every endpoint flavour publishes the store gauges; the compact endpoint
 // tracks its overlay through live inserts.
 TEST(CompactStoreTest, EndpointsPublishStoreGauges) {
@@ -336,18 +322,10 @@ TEST(CompactStoreTest, EndpointsPublishStoreGauges) {
   ASSERT_EQ(*added, 1u);
   EXPECT_EQ(gauge("store.overlay_triples"), 1);
 
-  // The v1 endpoints overwrite the same gauges (overlay back to zero, and
-  // the sharded endpoint adds per-shard index gauges).
+  // The v1 endpoint overwrites the same gauges (overlay back to zero).
   sparql::LocalEndpoint local("gauge-test-v1", RandomGraph(43, 300));
   EXPECT_EQ(gauge("store.overlay_triples"), 0);
   EXPECT_GT(gauge("store.index_bytes"), 0);
-
-  serve::ShardedEndpoint sharded("gauge-test-sharded", RandomGraph(43, 300),
-                                 /*num_shards=*/2);
-  int64_t per_shard = gauge("store.index_bytes.0") +
-                      gauge("store.index_bytes.1");
-  EXPECT_GT(per_shard, 0);
-  EXPECT_EQ(gauge("store.index_bytes"), per_shard);
 }
 
 }  // namespace

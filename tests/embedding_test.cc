@@ -184,9 +184,11 @@ TEST(AffinityTest, ScoresAreSymmetricAndBounded) {
 }
 
 // Parameterized sweep: every pair of words inside a lexicon cluster must
-// be closer than a fixed margin over any cross-cluster pair baseline.
+// be closer than a fixed margin over any cross-cluster pair baseline. The
+// words are held as std::string so the printed parameter (and with it the
+// discovered test name) is the words themselves, not their addresses.
 class ClusterCohesionTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(ClusterCohesionTest, InClusterPairsAreClose) {
   static SubwordEmbedder* em = new SubwordEmbedder();
