@@ -1,22 +1,17 @@
-// Joint evaluation-speed dashboard: single-query latency of candidate-shaped
-// SPARQL queries against one endpoint across the four evaluation modes —
-// serial row-at-a-time, morsel-sharded, vectorized (columnar batches through
-// the cardinality-planned broadcast/hash/probe kernels), and
-// sharded + vectorized — plus the index-build satellite that rides on the
-// same store.  Subsumes the former bench_sharding.
+// Store dashboard: single-query latency of candidate-shaped SPARQL queries
+// through the serial evaluator on the v1 store and, with --store=compact,
+// on the compact store over the identical graph — plus the index-build,
+// store-bytes and snapshot cold-start numbers that ride on the same KG.
 //
-// Every non-serial run is checked byte-identical to the serial reference
-// before its timing is reported; a speedup printed here is a speedup of the
-// *same* answer.  `--json=out.json` writes a machine-readable summary the
-// CI bench-smoke gate checks (vectorized must not lose to serial on the
-// star-shaped query).
+// Every compact run is checked byte-identical to the v1 reference before
+// its timing is reported; a ratio printed here is a ratio of the *same*
+// answer.  `--json=out.json` writes a machine-readable summary the CI
+// store-bench-smoke gate checks (identity, compression, cold start).
 // Numbers depend on the machine's core count (printed in the header).
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,27 +34,6 @@ bool SameResults(const ResultSet& a, const ResultSet& b) {
          a.columns() == b.columns() && a.rows() == b.rows();
 }
 
-struct Mode {
-  const char* name;
-  size_t threads;
-  bool vectorized;
-};
-
-constexpr Mode kModes[] = {
-    {"serial", 1, false},
-    {"sharded", 8, false},
-    {"vectorized", 1, true},
-    {"both", 8, true},
-};
-
-// Mode labels of the compact-store differential rows (--store=compact).
-constexpr const char* kCompactModeNames[] = {
-    "compact-serial",
-    "compact-sharded",
-    "compact-vectorized",
-    "compact-both",
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,8 +45,8 @@ int main(int argc, char** argv) {
   const std::string reps_flag = bench::ParseFlag(argc, argv, "reps");
   const int kReps = reps_flag.empty() ? 5 : std::stoi(reps_flag);
   // `--store=compact` adds the compact (dictionary-compressed CSR, store
-  // v2) endpoint as a differential row per query: the same four modes,
-  // identity-checked against the same serial reference, plus snapshot
+  // v2) endpoint as a differential column, identity-checked against the v1
+  // reference, plus snapshot
   // write / mmap-load timings and the bytes comparison the CI
   // store-bench-smoke gate checks.
   const std::string store_flag = bench::ParseFlag(argc, argv, "store");
@@ -83,12 +57,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("Evaluation modes: serial vs sharded vs vectorized vs both "
+  std::printf("Serial evaluation, v1 vs compact store "
               "(hardware threads on this host: %u)\n",
               std::thread::hardware_concurrency());
 
   // The MAG-style builder is the largest (~10-100x the general KGs at the
-  // same scale), so scans are wide enough to shard and batch.
+  // same scale), so scans are wide enough to time.
   benchgen::BuiltKg kg =
       benchgen::BuildScholarlyKg(benchgen::KgFlavor::kMag, scale, 42);
   std::printf("KG: %s, %zu triples (scale %.2f)\n", kg.name.c_str(),
@@ -200,7 +174,7 @@ int main(int argc, char** argv) {
   ep_options.build_threads = 8;
   sparql::LocalEndpoint ep("mag-eval", std::move(kg.graph), ep_options);
   // Let the joins' intermediate results grow past the default cap so the
-  // later steps have real work; identical for every mode.
+  // later steps have real work; identical on both stores.
   ep.mutable_eval_options().max_rows = 4'000'000;
 
   // Optional compact-store differential endpoint over the identical graph
@@ -263,11 +237,10 @@ int main(int argc, char** argv) {
               static_cast<double>(ep.store().ApproxIndexBytes()) /
                   (1024.0 * 1024.0));
 
-  bench::PrintRule(88);
-  std::printf("%-14s", "query");
-  for (const Mode& m : kModes) std::printf("  %10s", m.name);
-  std::printf("   vec/ser  both/ser\n");
-  bench::PrintRule(88);
+  bench::PrintRule(60);
+  std::printf("%-14s  %10s  %10s  %10s\n", "query", "v1", "compact",
+              "v1/compact");
+  bench::PrintRule(60);
 
   struct Run {
     const char* query;
@@ -277,87 +250,55 @@ int main(int argc, char** argv) {
   };
   std::vector<Run> runs;
   bool all_identical = true;
+  auto rows_of = [](const ResultSet& rs) {
+    return rs.is_ask() ? size_t{rs.ask_value()} : rs.NumRows();
+  };
   for (const QuerySpec& spec : specs) {
-    std::printf("%-14s", spec.label);
-    double by_mode[4] = {0, 0, 0, 0};
-    size_t rows_by_mode[4] = {0, 0, 0, 0};
-    double compact_by_mode[4] = {0, 0, 0, 0};
-    size_t compact_rows[4] = {0, 0, 0, 0};
-    ResultSet reference{std::vector<std::string>{}};
-    // Reps are interleaved round-robin across the columns, not run as
-    // per-mode blocks: a load spike on a busy runner then inflates every
-    // column of that rep instead of whichever mode's block it landed on,
-    // so the best-of-reps ratios the CI gates compare stay stable.
+    double v1_ms = 0.0;
+    double compact_ms = 0.0;
+    size_t v1_rows = 0;
+    size_t compact_rows = 0;
+    // Reps are interleaved across the two stores, not run as per-store
+    // blocks: a load spike on a busy runner then inflates both columns of
+    // that rep, so the best-of-reps ratio stays stable.
     for (int rep = 0; rep < kReps; ++rep) {
-      for (size_t mi = 0; mi < 4; ++mi) {
-        const Mode& mode = kModes[mi];
-        ep.set_intra_query_threads(mode.threads);
-        ep.set_vectorized_eval(mode.vectorized);
-        util::Stopwatch w;
-        auto rs = ep.Query(spec.text);
-        double ms = w.ElapsedMillis();
-        if (!rs.ok()) {
-          std::printf("\nquery failed: %s\n", rs.status().message().c_str());
-          return 1;
-        }
-        rows_by_mode[mi] =
-            rs->is_ask() ? size_t{rs->ask_value()} : rs->NumRows();
-        if (mi == 0 && rep == 0) reference = std::move(*rs);
-        if (mi != 0 && rep == 0 && !SameResults(reference, *rs)) {
-          all_identical = false;
-        }
-        if (rep == 0 || ms < by_mode[mi]) by_mode[mi] = ms;
-        if (compact_ep) {
-          // Same mode, compressed store: identical answers are part of
-          // the differential contract, so every cell is checked.
-          compact_ep->set_intra_query_threads(mode.threads);
-          compact_ep->set_vectorized_eval(mode.vectorized);
-          util::Stopwatch cw;
-          auto crs = compact_ep->Query(spec.text);
-          double cms = cw.ElapsedMillis();
-          if (!crs.ok()) {
-            std::printf("\ncompact query failed: %s\n",
-                        crs.status().message().c_str());
-            return 1;
-          }
-          compact_rows[mi] =
-              crs->is_ask() ? size_t{crs->ask_value()} : crs->NumRows();
-          if (rep == 0 && !SameResults(reference, *crs)) {
-            all_identical = false;
-          }
-          if (rep == 0 || cms < compact_by_mode[mi]) {
-            compact_by_mode[mi] = cms;
-          }
-        }
+      util::Stopwatch w;
+      auto rs = ep.Query(spec.text);
+      double ms = w.ElapsedMillis();
+      if (!rs.ok()) {
+        std::printf("query failed: %s\n", rs.status().message().c_str());
+        return 1;
       }
+      v1_rows = rows_of(*rs);
+      if (rep == 0 || ms < v1_ms) v1_ms = ms;
+      if (!compact_ep) continue;
+      util::Stopwatch cw;
+      auto crs = compact_ep->Query(spec.text);
+      double cms = cw.ElapsedMillis();
+      if (!crs.ok()) {
+        std::printf("compact query failed: %s\n",
+                    crs.status().message().c_str());
+        return 1;
+      }
+      compact_rows = rows_of(*crs);
+      if (rep == 0 && !SameResults(*rs, *crs)) all_identical = false;
+      if (rep == 0 || cms < compact_ms) compact_ms = cms;
     }
-    for (size_t mi = 0; mi < 4; ++mi) {
-      runs.push_back({spec.label, kModes[mi].name, by_mode[mi],
-                      rows_by_mode[mi]});
-      std::printf("  %7.2f ms", by_mode[mi]);
-    }
-    std::printf("  %7.2fx  %7.2fx\n",
-                by_mode[0] / (by_mode[2] > 0.0 ? by_mode[2] : 1.0),
-                by_mode[0] / (by_mode[3] > 0.0 ? by_mode[3] : 1.0));
+    runs.push_back({spec.label, "serial", v1_ms, v1_rows});
+    std::printf("%-14s  %7.2f ms", spec.label, v1_ms);
     if (compact_ep) {
-      std::printf("%-14s", "  + compact");
-      double worst_ratio = 1e9;
-      for (size_t mi = 0; mi < 4; ++mi) {
-        runs.push_back({spec.label, kCompactModeNames[mi],
-                        compact_by_mode[mi], compact_rows[mi]});
-        std::printf("  %7.2f ms", compact_by_mode[mi]);
-        const double ratio =
-            by_mode[mi] /
-            (compact_by_mode[mi] > 0.0 ? compact_by_mode[mi] : 0.001);
-        worst_ratio = std::min(worst_ratio, ratio);
-      }
+      runs.push_back({spec.label, "compact-serial", compact_ms, compact_rows});
       // v1 ms / compact ms: >= 1.0 means compact is at least as fast.
-      std::printf("  worst v1/compact %.2fx\n", worst_ratio);
+      std::printf("  %7.2f ms  %9.2fx", compact_ms,
+                  v1_ms / (compact_ms > 0.0 ? compact_ms : 0.001));
     }
+    std::printf("\n");
   }
-  bench::PrintRule(88);
-  std::printf("all modes byte-identical to serial: %s\n",
-              all_identical ? "yes" : "NO — BUG");
+  bench::PrintRule(60);
+  if (compact_ep) {
+    std::printf("compact byte-identical to v1: %s\n",
+                all_identical ? "yes" : "NO — BUG");
+  }
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");

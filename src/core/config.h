@@ -57,30 +57,6 @@ struct KgqanConfig {
   // execute queries the serial early-exit would have skipped.
   size_t num_threads = 0;
 
-  // Threads a *single* SPARQL query may use inside the endpoint's
-  // evaluator (morsel-sharded BGP join steps; not a paper parameter).
-  // Orthogonal to num_threads, which parallelizes *across* linking probes
-  // and candidate queries: both kinds of task share one bounded pool
-  // budget without deadlock (see util::ParallelFor).  0 = hardware
-  // concurrency; 1 keeps the exact legacy serial evaluator.  Applied to an
-  // endpoint via KgqanEngine::ConfigureEndpoint (the serving front-end
-  // does this at startup).
-  size_t intra_query_threads = 1;
-
-  // Columnar (vectorized) SPARQL evaluation (not a paper parameter):
-  // solutions flow through the endpoint's evaluator as term-id column
-  // batches with cardinality-planned join order and broadcast/hash/probe
-  // kernels, instead of row-at-a-time nested loops.  Off (default) keeps
-  // the row path; on, results are byte-identical (the differential
-  // property test's bar) on every seed, thread count, and batch size.
-  // Composes with intra_query_threads.  Applied to an endpoint via
-  // KgqanEngine::ConfigureEndpoint, like intra_query_threads.
-  bool vectorized_eval = false;
-
-  // Rows/triples a vectorized kernel processes between deadline
-  // re-checks; also the columnar batch granularity.
-  size_t eval_batch_size = 1024;
-
   // Total entries per mode of the sharded LRU linking cache keyed by
   // (phrase, KG identity, mode); repeated questions skip the endpoint
   // round-trips of Sec. 5 entirely.  0 disables caching.
@@ -120,7 +96,7 @@ struct KgqanConfig {
 
   // EXPLAIN ANALYZE (not a paper parameter): collect per-operator runtime
   // statistics — rows in/out, planner cardinality estimate vs. actual,
-  // kernel choice, batches — for every executed candidate query into
+  // step time — for every executed candidate query into
   // KgqanResult::candidates[i].operators, rendered by core::Explain.
   // Off (default) collects only for requests whose trace records spans
   // (sampled requests under the serving front-end), so saturated serving

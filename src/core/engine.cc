@@ -94,12 +94,10 @@ std::string Explain(const KgqanResult& result) {
     // EXPLAIN ANALYZE: per-operator plan execution, estimate vs. actual.
     for (const sparql::OperatorStats& op : c.operators) {
       out += "     step " + std::to_string(op.order) + ": pattern " +
-             std::to_string(op.pattern) + "  " + op.kernel + "  est " +
+             std::to_string(op.pattern) + "  est " +
              std::to_string(op.estimate) + "  rows " +
              std::to_string(op.rows_in) + " -> " +
              std::to_string(op.rows_out);
-      if (op.batches > 0) out += "  batches " + std::to_string(op.batches);
-      if (op.morsels > 0) out += "  morsels " + std::to_string(op.morsels);
       out += "  " + util::FormatDouble(op.ms, 2) + " ms\n";
     }
   }

@@ -136,16 +136,6 @@ class KgqanEngine : public QaSystem {
   const embed::SemanticAffinity& affinity() const { return *affinity_; }
   const qu::TriplePatternGenerator& generator() const { return generator_; }
 
-  // Applies the engine's endpoint-side configuration
-  // (Config::intra_query_threads, Config::vectorized_eval /
-  // eval_batch_size) to `endpoint`.  Configuration call — run it before
-  // serving queries, not concurrently with them.
-  void ConfigureEndpoint(sparql::Endpoint& endpoint) const {
-    endpoint.set_intra_query_threads(config_.intra_query_threads);
-    endpoint.set_vectorized_eval(config_.vectorized_eval,
-                                 config_.eval_batch_size);
-  }
-
   // Worker threads actually in use (1 = serial pipeline).
   size_t effective_threads() const { return pool_ ? pool_->size() : 1; }
   const LinkingCache* linking_cache() const { return cache_.get(); }

@@ -51,10 +51,6 @@ std::string_view TraceCounterName(TraceCounter counter) {
       return "linking_cache.hits";
     case TraceCounter::kLinkingCacheMisses:
       return "linking_cache.misses";
-    case TraceCounter::kEvalMorsels:
-      return "eval.morsels";
-    case TraceCounter::kEvalBatches:
-      return "eval.batches";
     case TraceCounter::kCount:
       break;
   }

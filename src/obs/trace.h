@@ -61,8 +61,6 @@ enum class TraceCounter : size_t {
   kEndpointCancelled,      // Queries dropped by a cancelled/expired token.
   kLinkingCacheHits,
   kLinkingCacheMisses,
-  kEvalMorsels,  // Morsels spawned by sharded BGP join steps.
-  kEvalBatches,  // Batch boundaries crossed by vectorized join kernels.
   kCount,
 };
 

@@ -61,15 +61,6 @@ QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
     recorder_ = std::make_unique<obs::FlightRecorder>(recorder_options);
   }
 
-  // Apply the engines' endpoint-side configuration (intra-query sharding,
-  // vectorized evaluation) before any worker can pick up a request: this
-  // is the single spot where Config::intra_query_threads and
-  // Config::vectorized_eval reach the endpoint in a served process.
-  if (!engines_.empty() && engines_.front() != nullptr &&
-      endpoint_ != nullptr) {
-    engines_.front()->ConfigureEndpoint(*endpoint_);
-  }
-
   size_t num_workers = options_.num_workers > 0 ? options_.num_workers : 1;
   workers_.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {

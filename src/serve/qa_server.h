@@ -132,11 +132,7 @@ struct QaServerStats {
 
 class QaServer {
  public:
-  // `engines` (at least one) and `endpoint` must outlive the server.  The
-  // constructor applies the first engine's endpoint-side configuration
-  // (Config::intra_query_threads → sharded BGP evaluation) to `endpoint`
-  // before the workers start, so a served process gets intra-query
-  // parallelism purely from its KgqanConfig.
+  // `engines` (at least one) and `endpoint` must outlive the server.
   QaServer(std::vector<const core::KgqanEngine*> engines,
            sparql::Endpoint* endpoint, QaServerOptions options);
 

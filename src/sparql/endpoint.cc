@@ -13,8 +13,7 @@
 
 namespace kgqan::sparql {
 
-Endpoint::Endpoint(std::string name, EndpointOptions options)
-    : name_(std::move(name)) {
+Endpoint::Endpoint(std::string name) : name_(std::move(name)) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_requests_ = &registry.GetCounter("endpoint.requests");
   metric_round_trips_ = &registry.GetCounter("endpoint.round_trips");
@@ -22,28 +21,6 @@ Endpoint::Endpoint(std::string name, EndpointOptions options)
   metric_cancelled_ = &registry.GetCounter("endpoint.cancelled");
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
-  if (options.intra_query_threads != 1) {
-    set_intra_query_threads(options.intra_query_threads);
-  }
-  if (options.vectorized_eval) {
-    set_vectorized_eval(true);
-  }
-}
-
-void Endpoint::set_intra_query_threads(size_t n) {
-  if (n == 0) n = util::ThreadPool::DefaultThreads();
-  eval_options_.intra_query_threads = n;
-  if (n > 1) {
-    // The querying thread itself drains morsels (util::ParallelFor), so a
-    // pool of n - 1 workers yields n threads per sharded join step.
-    if (!eval_pool_ || eval_pool_->size() != n - 1) {
-      eval_pool_ = std::make_unique<util::ThreadPool>(n - 1);
-    }
-    eval_options_.eval_pool = eval_pool_.get();
-  } else {
-    eval_options_.eval_pool = nullptr;
-    eval_pool_.reset();
-  }
 }
 
 util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
@@ -161,7 +138,7 @@ util::StatusOr<size_t> Endpoint::AddNTriples(std::string_view ntriples) {
 
 LocalEndpoint::LocalEndpoint(std::string name, rdf::Graph graph,
                              EndpointOptions options)
-    : Endpoint(std::move(name), options),
+    : Endpoint(std::move(name)),
       store_(std::move(graph), options.build_threads) {
   text_index_ = std::make_unique<text::TextIndex>(store_);
   PublishStoreGauges();
@@ -196,26 +173,24 @@ void LocalEndpoint::PublishStoreGauges() const {
 
 CompactEndpoint::CompactEndpoint(std::string name, rdf::Graph graph,
                                  EndpointOptions options)
-    : Endpoint(std::move(name), options),
+    : Endpoint(std::move(name)),
       store_(std::move(graph), options.build_threads) {
   text_index_ = std::make_unique<text::TextIndex>(store_);
   PublishStoreGauges();
 }
 
-CompactEndpoint::CompactEndpoint(std::string name, store::CompactStore store,
-                                 EndpointOptions options)
-    : Endpoint(std::move(name), options), store_(std::move(store)) {
+CompactEndpoint::CompactEndpoint(std::string name, store::CompactStore store)
+    : Endpoint(std::move(name)), store_(std::move(store)) {
   text_index_ = std::make_unique<text::TextIndex>(store_);
   PublishStoreGauges();
 }
 
 util::StatusOr<std::unique_ptr<CompactEndpoint>> CompactEndpoint::FromSnapshot(
-    std::string name, const std::string& snapshot_path,
-    EndpointOptions options) {
+    std::string name, const std::string& snapshot_path) {
   store::CompactStore store;
   KGQAN_RETURN_IF_ERROR(store.LoadSnapshot(snapshot_path));
   return std::unique_ptr<CompactEndpoint>(
-      new CompactEndpoint(std::move(name), std::move(store), options));
+      new CompactEndpoint(std::move(name), std::move(store)));
 }
 
 util::StatusOr<ResultSet> CompactEndpoint::Evaluate(

@@ -60,21 +60,13 @@
 #include "store/triple_store.h"
 #include "text/text_index.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::sparql {
 
 struct EndpointOptions {
-  // Threads one query may use for sharded BGP evaluation (0 = hardware
-  // concurrency, 1 = the exact legacy serial evaluator).  Also settable
-  // later via set_intra_query_threads().
-  size_t intra_query_threads = 1;
   // Threads used to sort the store's six permutation indexes at build
   // time (1 = unchanged serial build).
   size_t build_threads = 1;
-  // Columnar (vectorized) evaluation from the start; also settable later
-  // via set_vectorized_eval().  Result-identical to the row path.
-  bool vectorized_eval = false;
 };
 
 class Endpoint {
@@ -152,26 +144,6 @@ class Endpoint {
 
   EvalOptions& mutable_eval_options() { return eval_options_; }
 
-  // Reconfigures intra-query parallelism: n > 1 provisions an evaluation
-  // pool of n - 1 workers (the querying thread participates, see
-  // util::ParallelFor) and shards join steps across it; n == 1 drops the
-  // pool and restores the exact serial path; n == 0 means hardware
-  // concurrency.  Configuration call — do not race against queries.
-  void set_intra_query_threads(size_t n);
-  size_t intra_query_threads() const {
-    return eval_options_.intra_query_threads;
-  }
-
-  // Toggles columnar (vectorized) evaluation; `batch_size` > 0 also sets
-  // the rows-per-deadline-check batch width.  Composes with
-  // set_intra_query_threads and stays result-identical to the serial row
-  // path.  Configuration call — do not race against queries.
-  void set_vectorized_eval(bool on, size_t batch_size = 0) {
-    eval_options_.vectorized = on;
-    if (batch_size > 0) eval_options_.batch_size = batch_size;
-  }
-  bool vectorized_eval() const { return eval_options_.vectorized; }
-
   // Latency injection point (tests / serving benchmark): every query
   // sleeps `ms` before evaluating, as if the endpoint were remote.  Safe
   // to flip concurrently with queries (atomic); 0 disables.
@@ -186,7 +158,7 @@ class Endpoint {
   }
 
  protected:
-  Endpoint(std::string name, EndpointOptions options);
+  explicit Endpoint(std::string name);
 
   // Backend hook: evaluate one parsed query with eval_options_.  Called
   // under the shared data lock, so it may read the store and text index
@@ -217,9 +189,6 @@ class Endpoint {
   void RecordCancelled();
 
   std::string name_;
-  // Workers for sharded evaluation (eval_options_.eval_pool points here);
-  // null while intra_query_threads <= 1.
-  std::unique_ptr<util::ThreadPool> eval_pool_;
   // Process-wide registry metrics (resolved once; registry entries are
   // never erased, so the pointers stay valid).
   obs::Counter* metric_requests_;
@@ -294,8 +263,7 @@ class CompactEndpoint : public Endpoint {
   // re-sorting.  (The text index is rebuilt from the store — it is a
   // derived structure, not part of the snapshot.)
   static util::StatusOr<std::unique_ptr<CompactEndpoint>> FromSnapshot(
-      std::string name, const std::string& snapshot_path,
-      EndpointOptions options = {});
+      std::string name, const std::string& snapshot_path);
 
   size_t NumTriples() const override { return store_.size(); }
   void Match(rdf::TermId s, rdf::TermId p, rdf::TermId o,
@@ -327,8 +295,7 @@ class CompactEndpoint : public Endpoint {
       const std::vector<std::array<rdf::Term, 3>>& triples) override;
 
  private:
-  CompactEndpoint(std::string name, store::CompactStore store,
-                  EndpointOptions options);
+  CompactEndpoint(std::string name, store::CompactStore store);
 
   void PublishStoreGauges() const;
 

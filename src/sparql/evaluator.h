@@ -6,12 +6,12 @@
 // order chosen by the cardinality planner (sparql/planner.h), then applies
 // OPTIONAL groups (left join) and FILTER expressions.
 //
-// Two execution models share that plan: the row-at-a-time path (a Binding
-// vector per solution) and the opt-in vectorized path (EvalOptions::
-// vectorized), which carries solutions as columnar TermId batches through
-// broadcast/hash/probe join kernels.  Both compose with intra-query morsel
-// sharding, and every mode is result-identical to the serial row path:
-// same rows, same order, same caps.
+// Execution is serial and row-at-a-time: each solution is a vector of term
+// ids, and each join step extends every row by its pattern's matches in
+// (row, index) order.  KGQAn's candidate queries are BGPs of one to three
+// patterns plus text and predicate probes, so a single runtime suffices.
+// Join scans poll the calling thread's cancellation token, so serving
+// deadlines bite mid-scan.
 
 #ifndef KGQAN_SPARQL_EVALUATOR_H_
 #define KGQAN_SPARQL_EVALUATOR_H_
@@ -26,10 +26,6 @@
 #include "text/text_index.h"
 #include "util/status.h"
 
-namespace kgqan::util {
-class ThreadPool;
-}  // namespace kgqan::util
-
 namespace kgqan::store {
 class CompactStore;
 }  // namespace kgqan::store
@@ -42,33 +38,6 @@ struct EvalOptions {
   size_t max_rows = 100000;
   // Cap on candidates pulled from the text index per bif:contains pattern.
   size_t text_candidate_limit = 4096;
-  // Intra-query parallelism: > 1 (with a non-null eval_pool) shards the
-  // join steps into morsels executed on the pool.  The sharded path is
-  // result-identical to the serial one (same rows, same order); 1 keeps
-  // the exact legacy serial code path with zero extra allocations.
-  size_t intra_query_threads = 1;
-  // Pool the morsels run on; the calling thread always participates, so
-  // evaluation never blocks on a saturated pool (see util::ParallelFor).
-  // Not owned.  Ignored when intra_query_threads <= 1.
-  util::ThreadPool* eval_pool = nullptr;
-  // A join step only shards when its total located scan width is at least
-  // this many triples (below it, fan-out overhead dominates), and each
-  // morsel covers at least min_morsel_triples.  Tests lower both to force
-  // sharding on tiny graphs.
-  size_t min_shard_work = 4096;
-  size_t min_morsel_triples = 1024;
-  // Columnar execution: solutions flow as batches of term-id column
-  // vectors through broadcast/hash/probe join kernels instead of
-  // row-at-a-time Bindings.  Result-identical to the row path (same rows,
-  // same order); composes with intra_query_threads.
-  bool vectorized = false;
-  // Vectorized work units per deadline re-check: every batch_size scanned
-  // triples / emitted rows is a batch boundary where cancellation is
-  // polled, so deadlines bite mid-scan at any kernel size.
-  size_t batch_size = 1024;
-  // Testing hook: microseconds slept at every batch boundary, to make
-  // per-batch cancellation observable on small graphs.  0 in production.
-  size_t testing_batch_delay_us = 0;
 };
 
 // Per-operator runtime statistics for EXPLAIN ANALYZE: one entry per
@@ -81,9 +50,6 @@ struct OperatorStats {
   size_t estimate = 0;  // Planner cardinality estimate (Locate range size).
   size_t rows_in = 0;   // Solution rows entering the step.
   size_t rows_out = 0;  // Solution rows leaving it.
-  size_t batches = 0;   // Batch boundaries crossed (vectorized path only).
-  size_t morsels = 0;   // Morsels spawned (sharded row path only).
-  std::string kernel;   // serial | sharded | broadcast | hash | probe.
   double ms = 0.0;
 };
 

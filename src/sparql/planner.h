@@ -8,11 +8,10 @@
 // key prefix of one of the six permutations — and discounted heuristically
 // for components whose variable is bound by earlier steps).
 //
-// Every evaluation mode (serial, morsel-sharded, vectorized, and
-// sharded+vectorized) executes the *same* plan: the plan is a pure function
-// of the store and the bound-slot set, so join order — and therefore result
-// order — is mode-independent by construction.  Ties are broken by pattern
-// position, keeping plans deterministic when cardinalities collide.
+// The plan is a pure function of the store and the bound-slot set, so join
+// order — and therefore result order — is identical on both stores for the
+// same graph.  Ties are broken by pattern position, keeping plans
+// deterministic when cardinalities collide.
 
 #ifndef KGQAN_SPARQL_PLANNER_H_
 #define KGQAN_SPARQL_PLANNER_H_

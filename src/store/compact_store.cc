@@ -259,69 +259,6 @@ CompactScanRange CompactStore::Locate(TermId s, TermId p, TermId o) const {
                           r < pi.keys.size() ? r : SIZE_MAX};
 }
 
-std::vector<CompactScanRange> CompactStore::Partition(
-    const CompactScanRange& range, size_t max_parts) const {
-  std::vector<CompactScanRange> parts;
-  const size_t bw = range.hi - range.lo;
-  const size_t ow = range.overlay_hi - range.overlay_lo;
-  if (bw + ow == 0 || max_parts == 0) return parts;
-
-  if (bw == 0) {
-    // Overlay-only range: v1's integer split over the overlay slice.
-    const size_t k = std::min(max_parts, ow);
-    parts.reserve(k);
-    for (size_t i = 0; i < k; ++i) {
-      const size_t lo = range.overlay_lo + ow * i / k;
-      const size_t hi = range.overlay_lo + ow * (i + 1) / k;
-      if (hi > lo) {
-        parts.push_back(CompactScanRange{range.perm, range.lo, range.lo, lo,
-                                         hi});
-      }
-    }
-    return parts;
-  }
-
-  const Perm perm = range.perm;
-  const PermIndex& pi = perms_[static_cast<size_t>(perm)];
-  const std::vector<Triple>& ov = overlay_[static_cast<size_t>(perm)];
-  const size_t k = std::min(max_parts, bw);
-  parts.reserve(k);
-  size_t prev_olo = range.overlay_lo;
-  size_t hint = range.run_hint;
-  for (size_t i = 0; i < k; ++i) {
-    const size_t lo = range.lo + bw * i / k;
-    const size_t hi = range.lo + bw * (i + 1) / k;
-    size_t next_hint = SIZE_MAX;
-    size_t ohi;
-    if (i + 1 == k) {
-      ohi = range.overlay_hi;
-    } else {
-      // Overlay entries whose key precedes the next slice's first base
-      // key belong to this slice; keys are globally unique so the cut is
-      // unambiguous and concatenated slice merges reproduce the full
-      // merge.
-      Cursor cur;
-      cur.SeekHinted(pi, hi, hint);
-      cur.Step();
-      // After decoding entry `hi`, cur.run is the run containing it — a
-      // valid decode hint for the next part, which starts at `hi`.
-      next_hint = cur.run;
-      const std::tuple<TermId, TermId, TermId> cut{cur.k1(), cur.k2, cur.k3};
-      ohi = static_cast<size_t>(
-          std::lower_bound(ov.begin() + prev_olo,
-                           ov.begin() + range.overlay_hi, cut,
-                           [perm](const Triple& t,
-                                  const std::tuple<TermId, TermId, TermId>&
-                                      key) { return PermKey(perm, t) < key; }) -
-          ov.begin());
-    }
-    parts.push_back(CompactScanRange{perm, lo, hi, prev_olo, ohi, hint});
-    prev_olo = ohi;
-    hint = next_hint;
-  }
-  return parts;
-}
-
 std::vector<Triple> CompactStore::MatchAll(TermId s, TermId p, TermId o,
                                            size_t limit) const {
   std::vector<Triple> out;

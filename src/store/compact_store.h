@@ -17,11 +17,11 @@
 //
 // Entry indices are the public coordinate system: CompactScanRange counts
 // compressed entries exactly like ScanRange counts triples, so
-// Locate/Partition/MatchRange/EstimateMatches keep their v1 semantics and
-// the morsel-sharded + vectorized evaluators and the planner's cardinality
-// estimates run unchanged.  Locate is O(log runs + log blocks + kBlock):
-// binary search on `keys`, then on block-first entries (each O(1)-decodable
-// at a known byte offset), then at most one block of linear decode.
+// Locate/MatchRange/EstimateMatches keep their v1 semantics and the
+// evaluator and the planner's cardinality estimates run unchanged.
+// Locate is O(log runs + log blocks + kBlock): binary search on `keys`,
+// then on block-first entries (each O(1)-decodable at a known byte
+// offset), then at most one block of linear decode.
 //
 // The term dictionary is a FrontCodedDictionary built to preserve the v1
 // TermDictionary's ids exactly, so index key order — and therefore every
@@ -68,9 +68,9 @@ struct CompactScanRange {
   size_t overlay_lo = 0;  // overlay indices [overlay_lo, overlay_hi)
   size_t overlay_hi = 0;
   // Decode hint, not part of the logical range: a run with
-  // offsets[run_hint] <= lo (ideally lo's run).  Locate and Partition fill
-  // it so MatchRange lands its cursor without a binary search over all
-  // runs; SIZE_MAX means unknown.
+  // offsets[run_hint] <= lo (ideally lo's run).  Locate fills it so
+  // MatchRange lands its cursor without a binary search over all runs;
+  // SIZE_MAX means unknown.
   size_t run_hint = SIZE_MAX;
 
   size_t size() const { return (hi - lo) + (overlay_hi - overlay_lo); }
@@ -117,8 +117,7 @@ class CompactStore {
 
   // Match restricted to `range`: an ordered two-cursor merge of the
   // decoded base run and the overlay slice, with the same residual
-  // filtering as v1.  Scanning a Partition()'s slices back to back visits
-  // exactly the Match() sequence.
+  // filtering as v1.
   template <typename Fn>
   void MatchRange(const CompactScanRange& range, TermId s, TermId p, TermId o,
                   Fn&& fn) const {
@@ -211,14 +210,6 @@ class CompactStore {
   // Chooses the same permutation v1 would and returns the exact matching
   // range: base entry bounds plus the overlay slice.
   CompactScanRange Locate(TermId s, TermId p, TermId o) const;
-
-  // Splits `range` into at most `max_parts` sub-ranges that cover it
-  // exactly and in merged key order: the base run is split integer-wise
-  // (v1's discipline) and the overlay is cut at each base boundary's key,
-  // so concatenating the slices' MatchRange outputs reproduces the full
-  // merge.
-  std::vector<CompactScanRange> Partition(const CompactScanRange& range,
-                                          size_t max_parts) const;
 
   std::vector<Triple> MatchAll(TermId s, TermId p, TermId o,
                                size_t limit = SIZE_MAX) const;

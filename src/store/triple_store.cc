@@ -131,21 +131,6 @@ ScanRange TripleStore::Locate(TermId s, TermId p, TermId o) const {
                    static_cast<size_t>(hi - idx.begin())};
 }
 
-std::vector<ScanRange> TripleStore::Partition(const ScanRange& range,
-                                              size_t max_parts) {
-  std::vector<ScanRange> parts;
-  const size_t width = range.size();
-  if (width == 0 || max_parts == 0) return parts;
-  const size_t k = std::min(max_parts, width);
-  parts.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    const size_t lo = range.lo + width * i / k;
-    const size_t hi = range.lo + width * (i + 1) / k;
-    if (hi > lo) parts.push_back(ScanRange{range.perm, lo, hi});
-  }
-  return parts;
-}
-
 std::vector<Triple> TripleStore::MatchAll(TermId s, TermId p, TermId o,
                                           size_t limit) const {
   std::vector<Triple> out;

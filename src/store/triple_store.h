@@ -79,8 +79,8 @@ struct PermLess {
 
 // A contiguous run of candidate triples in one permutation index: the
 // sorted [lo, hi) range whose key prefix matches a lookup pattern.  Every
-// triple pattern lookup reduces to one of these; Partition() splits one
-// into morsels for intra-query parallel scans.
+// triple pattern lookup reduces to one of these, and its size() is the
+// planner's cardinality estimate.
 struct ScanRange {
   Perm perm = Perm::kSpo;
   size_t lo = 0;
@@ -130,10 +130,8 @@ class TripleStore {
     MatchRange(Locate(s, p, o), s, p, o, std::forward<Fn>(fn));
   }
 
-  // Match restricted to `range` (a Locate() result or one of its
-  // Partition() slices for the same pattern).  Triples are visited in
-  // index order, so scanning a partition's slices back to back visits
-  // exactly the Match() sequence.
+  // Match restricted to `range` (a Locate() result for the same
+  // pattern).  Triples are visited in index order.
   template <typename Fn>
   void MatchRange(const ScanRange& range, TermId s, TermId p, TermId o,
                   Fn&& fn) const {
@@ -152,12 +150,6 @@ class TripleStore {
   // returns the sorted [lo, hi) candidate range in that index.  The range
   // is exact: every covered triple matches the pattern.
   ScanRange Locate(TermId s, TermId p, TermId o) const;
-
-  // Splits `range` into at most `max_parts` contiguous sub-ranges that
-  // cover it exactly, in order, each non-empty and balanced to within one
-  // triple.  An empty range yields no parts.
-  static std::vector<ScanRange> Partition(const ScanRange& range,
-                                          size_t max_parts);
 
   // Collects up to `limit` matching triples.
   std::vector<Triple> MatchAll(TermId s, TermId p, TermId o,

@@ -125,9 +125,8 @@ class ThreadPool {
 // blocks on *queued* work.  It drains the item list itself, so when the
 // pool is saturated (e.g. the engine's candidate fan-out already owns
 // every worker) all items simply run inline on the calling thread; the
-// final wait can only ever be for items actively executing on a worker.
-// This is what lets the SPARQL evaluator's morsels and the engine's
-// candidate queries share one bounded pool.
+// final wait can only ever be for items actively executing on a worker,
+// so nested fan-outs can share one bounded pool.
 //
 // With a null pool (or n <= 1) the loop is a plain serial for-loop.
 // Exceptions thrown by `fn` are rethrown on the calling thread after all

@@ -1,8 +1,6 @@
 // Differential battery for the compact store: every answer served from
 // the dictionary-compressed CSR store must be byte-identical to v1 —
-// across both benchgen KG families, all four eval modes (serial,
-// morsel-sharded, vectorized, both; morsel shard counts {1, 3}), live
-// AddNTriples updates riding the delta overlay, and a snapshot
+// across both benchgen KG families, live AddNTriples updates riding the delta overlay, and a snapshot
 // save/mmap-load round trip whose Locate ranges match the builder's
 // entry-for-entry.  A corruption lane pins that damaged snapshots are
 // rejected rather than served.
@@ -151,33 +149,9 @@ benchgen::BuiltKg BuildKgForRound(int round, uint64_t seed) {
   }
 }
 
-struct EvalMode {
-  const char* name;
-  size_t intra_query_threads;
-  bool vectorized;
-};
-
-constexpr EvalMode kEvalModes[] = {
-    {"serial", 1, false},
-    {"morsel-sharded", 3, false},
-    {"vectorized", 1, true},
-    {"morsel-sharded+vectorized", 3, true},
-};
-
-void ApplyMode(Endpoint& ep, const EvalMode& mode) {
-  ep.set_intra_query_threads(mode.intra_query_threads);
-  ep.set_vectorized_eval(mode.vectorized);
-  if (mode.intra_query_threads > 1) {
-    // Force morsel sharding on these deliberately small KGs.
-    ep.mutable_eval_options().min_shard_work = 0;
-    ep.mutable_eval_options().min_morsel_triples = 1;
-  }
-}
-
 // Random SPARQL through the public Endpoint API: the compact endpoint and
-// the v1 endpoint must return byte-identical rows in every eval mode (serial
-// and morsel-sharded over 3 threads), before and after a live AddNTriples
-// update that lands in the compact store's delta overlay.
+// the v1 endpoint must return byte-identical rows, before and after a live
+// AddNTriples update that lands in the compact store's delta overlay.
 TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
   constexpr int kKgRounds = 3;
   constexpr int kCasesPerKg = 14;
@@ -196,12 +170,9 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
 
     for (int c = 0; c < kCasesPerKg; ++c) {
       std::string query = gen.RandSparql();
-      const EvalMode& mode = kEvalModes[master.Next() % 4];
       SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " round " +
                    std::to_string(round) + " case " + std::to_string(c) +
-                   " mode " + mode.name + "\nquery: " + query);
-      ApplyMode(reference, mode);
-      ApplyMode(compact, mode);
+                   "\nquery: " + query);
       auto want = reference.Query(query);
       ASSERT_TRUE(want.ok()) << want.status();
       auto got = compact.Query(query);
@@ -210,7 +181,7 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
     }
 
     // Live update: the insert rides the compact store's overlay (no
-    // rebuild), and answers must stay byte-identical in every mode.
+    // rebuild), and answers must stay byte-identical.
     const std::string delta =
         "<http://prop.test/fresh_a> <http://prop.test/linked> "
         "<http://prop.test/fresh_b> .\n"
@@ -231,23 +202,19 @@ TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
     const std::string chain_probe =
         "SELECT ?a ?c WHERE { ?a <http://prop.test/linked> ?b . "
         "?b <http://prop.test/linked> ?c }";
-    for (const EvalMode& mode : kEvalModes) {
-      SCOPED_TRACE(std::string("post-update mode ") + mode.name);
-      ApplyMode(reference, mode);
-      ApplyMode(compact, mode);
-      for (const std::string& q : {probe, chain_probe}) {
-        auto want_after = reference.Query(q);
-        ASSERT_TRUE(want_after.ok()) << want_after.status();
-        auto got_after = compact.Query(q);
-        ASSERT_TRUE(got_after.ok()) << got_after.status();
-        EXPECT_TRUE(SameResults(*want_after, *got_after));
-      }
+    for (const std::string& q : {probe, chain_probe}) {
+      SCOPED_TRACE("post-update query: " + q);
+      auto want_after = reference.Query(q);
+      ASSERT_TRUE(want_after.ok()) << want_after.status();
+      auto got_after = compact.Query(q);
+      ASSERT_TRUE(got_after.ok()) << got_after.status();
+      EXPECT_TRUE(SameResults(*want_after, *got_after));
     }
   }
 }
 
 // Snapshot lane: save, mmap-load, and the loaded endpoint answers
-// byte-identically in every eval mode with Locate ranges matching the
+// byte-identically, with Locate ranges matching the
 // builder's entry-for-entry.
 TEST(CompactStorePropertyTest, SnapshotRoundTripServesIdentically) {
   const std::string path =
@@ -288,12 +255,8 @@ TEST(CompactStorePropertyTest, SnapshotRoundTripServesIdentically) {
 
   for (int c = 0; c < 10; ++c) {
     std::string query = gen.RandSparql();
-    const EvalMode& mode = kEvalModes[master.Next() % 4];
     SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " case " +
-                 std::to_string(c) + " mode " + mode.name + "\nquery: " +
-                 query);
-    ApplyMode(original, mode);
-    ApplyMode(reloaded, mode);
+                 std::to_string(c) + "\nquery: " + query);
     auto want = original.Query(query);
     ASSERT_TRUE(want.ok()) << want.status();
     auto got = reloaded.Query(query);
@@ -309,8 +272,6 @@ TEST(CompactStorePropertyTest, SnapshotRoundTripServesIdentically) {
   ASSERT_TRUE(reloaded.AddNTriples(delta).ok());
   const std::string probe =
       "SELECT ?s ?o WHERE { ?s <http://prop.test/linked> ?o }";
-  ApplyMode(original, kEvalModes[0]);
-  ApplyMode(reloaded, kEvalModes[0]);
   auto want_after = original.Query(probe);
   ASSERT_TRUE(want_after.ok());
   auto got_after = reloaded.Query(probe);

@@ -1,6 +1,6 @@
 // Unit tests for the compact (CSR + front-coded dictionary) triple store:
-// v1 equivalence on every bound-component combination, Locate/Partition
-// coverage with and without a live overlay, erase/compaction behaviour,
+// v1 equivalence on every bound-component combination, Locate coverage
+// with and without a live overlay, erase/compaction behaviour,
 // snapshot round trips with corruption rejection, and the per-endpoint
 // store gauges.
 
@@ -79,10 +79,9 @@ TEST(CompactStoreTest, ParallelBuildEqualsSerialBuild) {
                               rdf::kNullTermId));
 }
 
-// Partition must cover the located range exactly: concatenating the
-// slices' MatchRange outputs reproduces Match's sequence — with and
-// without a live overlay, whose entries are cut at base-slice key
-// boundaries.
+// Locate must cover the matching triples exactly: its range counts them,
+// and scanning it with MatchRange reproduces Match's sequence — with and
+// without a live overlay.
 TEST(CompactStoreTest, PartitionCoversExactlyWithAndWithoutOverlay) {
   CompactStore compact(RandomGraph(13, 700));
   TermId p = *compact.dictionary().FindIri("http://x/p1");
@@ -101,6 +100,7 @@ TEST(CompactStoreTest, PartitionCoversExactlyWithAndWithoutOverlay) {
     const CompactScanRange range =
         compact.Locate(rdf::kNullTermId, p, rdf::kNullTermId);
     ASSERT_FALSE(range.empty());
+    EXPECT_EQ(range.overlay_hi > range.overlay_lo, with_overlay);
 
     std::vector<rdf::Triple> serial;
     compact.Match(rdf::kNullTermId, p, rdf::kNullTermId,
@@ -110,34 +110,14 @@ TEST(CompactStoreTest, PartitionCoversExactlyWithAndWithoutOverlay) {
                   });
     ASSERT_EQ(serial.size(), range.size());
 
-    for (size_t parts : {size_t{1}, size_t{3}, size_t{7}, range.size() * 2}) {
-      std::vector<CompactScanRange> slices = compact.Partition(range, parts);
-      ASSERT_FALSE(slices.empty());
-      std::vector<rdf::Triple> sliced;
-      size_t cursor = range.lo;
-      size_t ocursor = range.overlay_lo;
-      for (const CompactScanRange& slice : slices) {
-        EXPECT_EQ(slice.perm, range.perm);
-        EXPECT_EQ(slice.lo, cursor);
-        EXPECT_EQ(slice.overlay_lo, ocursor);
-        cursor = slice.hi;
-        ocursor = slice.overlay_hi;
-        compact.MatchRange(slice, rdf::kNullTermId, p, rdf::kNullTermId,
-                           [&](const rdf::Triple& t) {
-                             sliced.push_back(t);
-                             return true;
-                           });
-      }
-      EXPECT_EQ(cursor, range.hi);
-      EXPECT_EQ(ocursor, range.overlay_hi);
-      EXPECT_EQ(sliced, serial) << "parts=" << parts
-                                << " overlay=" << with_overlay;
-    }
+    std::vector<rdf::Triple> ranged;
+    compact.MatchRange(range, rdf::kNullTermId, p, rdf::kNullTermId,
+                       [&](const rdf::Triple& t) {
+                         ranged.push_back(t);
+                         return true;
+                       });
+    EXPECT_EQ(ranged, serial) << "overlay=" << with_overlay;
   }
-
-  // Empty range: no parts.
-  EXPECT_TRUE(
-      compact.Partition(CompactScanRange{Perm::kSpo, 5, 5, 0, 0}, 4).empty());
 }
 
 // Live inserts and erases track v1 exactly, including the TermIds fresh

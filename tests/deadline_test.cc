@@ -153,12 +153,12 @@ TEST(DeadlineTest, CancelledWaveDoesNotPoisonLinkingCache) {
   EXPECT_EQ(rerun.queries_generated, fresh.queries_generated);
 }
 
-// Deadlines must bite *inside* a sharded scan, not only between patterns:
+// Deadlines must bite *inside* a join scan, not only between patterns:
 // a dense complete digraph makes a variable chain explode combinatorially,
-// so with a couple-of-ms deadline the evaluator's morsel loops observe the
+// so with a couple-of-ms deadline the evaluator's join step observes the
 // expiry mid-scan and return DeadlineExceeded after the exchange was
 // already issued and counted (proving it is not the fail-fast path).
-TEST(DeadlineTest, ShardedEvaluationCancelsMidScan) {
+TEST(DeadlineTest, SerialEvaluationCancelsMidScan) {
   rdf::Graph g;
   constexpr int kN = 60;
   for (int i = 0; i < kN; ++i) {
@@ -170,9 +170,6 @@ TEST(DeadlineTest, ShardedEvaluationCancelsMidScan) {
     }
   }
   sparql::LocalEndpoint endpoint("dense", std::move(g));
-  endpoint.set_intra_query_threads(2);
-  endpoint.mutable_eval_options().min_shard_work = 0;
-  endpoint.mutable_eval_options().min_morsel_triples = 1;
 
   // Timing-dependent: the deadline must expire after admission but before
   // evaluation finishes.  Longer chains take longer, so retry with doubled
@@ -200,7 +197,7 @@ TEST(DeadlineTest, ShardedEvaluationCancelsMidScan) {
     }
   }
   EXPECT_TRUE(cancelled_mid_scan)
-      << "no run observed the deadline inside the sharded scan";
+      << "no run observed the deadline inside the join scan";
   EXPECT_GT(endpoint.cancelled_count(), 0u);
 }
 

@@ -1,13 +1,18 @@
 // Golden answer-quality test: pins the macro precision / recall / F1 of
 // KGQAn and the gAnswer-like and EDGQA-like baselines on all five
 // benchmarks at scale 0.1 — the numbers `bench_table3_quality 0.1` prints —
-// so no refactor of the store, evaluator, linker or baselines can move
-// answer quality silently.  Benchmarks, engines and baselines are all
-// deterministic, so the values must match to within 1e-9 on every
+// and, from the same runs, the Table-5 solved counts by query shape and
+// linguistic class (`bench_table5_taxonomy 0.1`), so no refactor of the
+// store, evaluator, linker or baselines can move answer quality silently.
+// Benchmarks, engines and baselines are all deterministic, so the P/R/F1
+// values must match to within 1e-9 and the counts exactly on every
 // compiler and build type; a mismatch there is a determinism bug, not a
 // reason to widen the tolerance.
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstddef>
 
 #include "bench_common.h"
 #include "eval/runner.h"
@@ -44,13 +49,26 @@ void ExpectMacro(const eval::SystemBenchmarkResult& got, double p, double r,
   EXPECT_NEAR(got.macro.f1, f1, kTolerance);
 }
 
+// Table 5: questions solved (F1 > 0) by shape (star, path) and by
+// linguistic class (single, type, multi, boolean).
+void ExpectSolved(const eval::SystemBenchmarkResult& got,
+                  std::array<size_t, 2> by_shape,
+                  std::array<size_t, 4> by_ling) {
+  SCOPED_TRACE(got.system + " on " + got.benchmark);
+  EXPECT_EQ(got.taxonomy.solved_by_shape, by_shape);
+  EXPECT_EQ(got.taxonomy.solved_by_ling, by_ling);
+}
+
 // Expected values: bench_table3_quality at scale 0.1, to 12 significant
-// digits.
+// digits, and the solved counts bench_table5_taxonomy prints at 0.1.
 TEST(GoldenQualityTest, Qald9) {
   const Table3Row row = RunTable3(benchgen::BenchmarkId::kQald9);
   ExpectMacro(row.kgqan, 0.5, 0.5, 0.5);
   ExpectMacro(row.ganswer, 0.416666666667, 0.416666666667, 0.416666666667);
   ExpectMacro(row.edgqa, 0.5, 0.5, 0.5);
+  ExpectSolved(row.kgqan, {6, 0}, {3, 1, 1, 1});
+  ExpectSolved(row.ganswer, {5, 0}, {3, 1, 0, 1});
+  ExpectSolved(row.edgqa, {6, 0}, {3, 1, 1, 1});
 }
 
 TEST(GoldenQualityTest, LcQuad) {
@@ -58,6 +76,9 @@ TEST(GoldenQualityTest, LcQuad) {
   ExpectMacro(row.kgqan, 0.632653061224, 0.663265306122, 0.642857142857);
   ExpectMacro(row.ganswer, 0.112244897959, 0.112244897959, 0.112244897959);
   ExpectMacro(row.edgqa, 0.612244897959, 0.612244897959, 0.612244897959);
+  ExpectSolved(row.kgqan, {61, 4}, {42, 9, 11, 3});
+  ExpectSolved(row.ganswer, {11, 0}, {5, 2, 0, 4});
+  ExpectSolved(row.edgqa, {56, 4}, {36, 9, 11, 4});
 }
 
 TEST(GoldenQualityTest, Yago) {
@@ -65,6 +86,9 @@ TEST(GoldenQualityTest, Yago) {
   ExpectMacro(row.kgqan, 0.75, 0.75, 0.75);
   ExpectMacro(row.ganswer, 0.5, 0.5, 0.5);
   ExpectMacro(row.edgqa, 0.583333333333, 0.583333333333, 0.583333333333);
+  ExpectSolved(row.kgqan, {7, 2}, {6, 1, 1, 1});
+  ExpectSolved(row.ganswer, {6, 0}, {4, 1, 0, 1});
+  ExpectSolved(row.edgqa, {5, 2}, {4, 1, 1, 1});
 }
 
 TEST(GoldenQualityTest, Dblp) {
@@ -72,6 +96,9 @@ TEST(GoldenQualityTest, Dblp) {
   ExpectMacro(row.kgqan, 0.590909090909, 0.636363636364, 0.606060606061);
   ExpectMacro(row.ganswer, 0.0, 0.0, 0.0);
   ExpectMacro(row.edgqa, 0.272727272727, 0.272727272727, 0.272727272727);
+  ExpectSolved(row.kgqan, {5, 2}, {5, 1, 1, 0});
+  ExpectSolved(row.ganswer, {0, 0}, {0, 0, 0, 0});
+  ExpectSolved(row.edgqa, {3, 0}, {3, 0, 0, 0});
 }
 
 TEST(GoldenQualityTest, Mag) {
@@ -79,6 +106,9 @@ TEST(GoldenQualityTest, Mag) {
   ExpectMacro(row.kgqan, 0.483333333333, 0.6, 0.516666666667);
   ExpectMacro(row.ganswer, 0.0, 0.0, 0.0);
   ExpectMacro(row.edgqa, 0.0, 0.0, 0.0);
+  ExpectSolved(row.kgqan, {4, 2}, {4, 0, 1, 1});
+  ExpectSolved(row.ganswer, {0, 0}, {0, 0, 0, 0});
+  ExpectSolved(row.edgqa, {0, 0}, {0, 0, 0, 0});
 }
 
 }  // namespace

@@ -113,40 +113,21 @@ TEST(TripleStoreTest, LocateAndPartitionCoverExactly) {
 
   ScanRange range = store.Locate(rdf::kNullTermId, p, rdf::kNullTermId);
   EXPECT_EQ(range.size(), store.size());  // p matches every triple.
-  for (size_t parts : {size_t{1}, size_t{3}, size_t{7}, store.size(),
-                       store.size() * 2}) {
-    std::vector<ScanRange> slices = TripleStore::Partition(range, parts);
-    ASSERT_FALSE(slices.empty());
-    EXPECT_LE(slices.size(), std::min(parts, range.size()));
-    // Slices cover [lo, hi) exactly, in order, with no gaps or overlaps.
-    size_t cursor = range.lo;
-    for (const ScanRange& slice : slices) {
-      EXPECT_EQ(slice.perm, range.perm);
-      EXPECT_EQ(slice.lo, cursor);
-      EXPECT_FALSE(slice.empty());
-      cursor = slice.hi;
-    }
-    EXPECT_EQ(cursor, range.hi);
 
-    // Scanning the slices back to back visits exactly the Match sequence.
-    std::vector<rdf::Triple> serial, sliced;
-    store.Match(rdf::kNullTermId, p, rdf::kNullTermId,
-                [&](const rdf::Triple& t) {
-                  serial.push_back(t);
-                  return true;
-                });
-    for (const ScanRange& slice : slices) {
-      store.MatchRange(slice, rdf::kNullTermId, p, rdf::kNullTermId,
-                       [&](const rdf::Triple& t) {
-                         sliced.push_back(t);
-                         return true;
-                       });
-    }
-    EXPECT_EQ(serial, sliced);
-  }
-
-  // Empty range: no parts.
-  EXPECT_TRUE(TripleStore::Partition(ScanRange{Perm::kSpo, 5, 5}, 4).empty());
+  // Scanning the located range visits exactly the Match sequence.
+  std::vector<rdf::Triple> serial, ranged;
+  store.Match(rdf::kNullTermId, p, rdf::kNullTermId,
+              [&](const rdf::Triple& t) {
+                serial.push_back(t);
+                return true;
+              });
+  store.MatchRange(range, rdf::kNullTermId, p, rdf::kNullTermId,
+                   [&](const rdf::Triple& t) {
+                     ranged.push_back(t);
+                     return true;
+                   });
+  EXPECT_EQ(serial.size(), range.size());
+  EXPECT_EQ(serial, ranged);
 }
 
 TEST(TripleStoreTest, ParallelBuildEqualsSerialBuild) {
