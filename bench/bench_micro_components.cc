@@ -87,6 +87,19 @@ void BM_AffinityFineGrained(benchmark::State& state) {
 }
 BENCHMARK(BM_AffinityFineGrained);
 
+// The linker's shape: the node label is prepared once per probe, each
+// candidate description is prepared fresh and scored against it.
+void BM_AffinityPrepared(benchmark::State& state) {
+  embed::SemanticAffinity affinity;
+  const embed::SemanticAffinity::Phrase label =
+      affinity.Prepare("city on the shore");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        affinity.NormalizedScore(label, affinity.Prepare("nearest city")));
+  }
+}
+BENCHMARK(BM_AffinityPrepared);
+
 void BM_QuExtraction(benchmark::State& state) {
   qu::TriplePatternGenerator::Options opts;
   opts.inference.enabled = false;  // Measure extraction only.

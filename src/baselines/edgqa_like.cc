@@ -67,11 +67,14 @@ std::vector<std::string> EdgqaLike::LinkEntityPhrase(
 std::vector<std::string> EdgqaLike::RankPredicates(
     const std::vector<std::string>& predicates,
     const std::string& relation_phrase, size_t limit) const {
+  const embed::SemanticAffinity::Phrase relation =
+      affinity_.Prepare(relation_phrase);
   std::vector<std::pair<double, std::string>> ranked;
   for (const std::string& p : predicates) {
     std::string desc = util::Join(
         util::SplitIdentifierWords(rdf::IriLocalName(p)), " ");
-    ranked.emplace_back(affinity_.NormalizedScore(relation_phrase, desc), p);
+    ranked.emplace_back(
+        affinity_.NormalizedScore(relation, affinity_.Prepare(desc)), p);
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) {

@@ -39,11 +39,13 @@ bool Filtration::SemanticTypeMatches(const CandidateAnswer& answer,
                                      const std::string& semantic_type) const {
   if (answer.class_iris.empty()) return true;  // No class info: keep.
   if (semantic_type.empty() || semantic_type == "entity") return true;
+  const embed::SemanticAffinity::Phrase type =
+      affinity_->Prepare(semantic_type);
   double best = 0.0;
   for (const std::string& class_iri : answer.class_iris) {
     std::string label = util::Join(
         util::SplitIdentifierWords(rdf::IriLocalName(class_iri)), " ");
-    best = std::max(best, affinity_->Score(semantic_type, label));
+    best = std::max(best, affinity_->Score(type, affinity_->Prepare(label)));
   }
   return best >= config_->semantic_type_threshold;
 }

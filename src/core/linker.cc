@@ -6,6 +6,7 @@
 #include <future>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -84,8 +85,11 @@ std::vector<RelevantVertex> JitLinker::LinkEntityUncached(
     const obs::ScopedSpan& span;
     ~LatencyRecorder() { EntityLinkLatency().Record(span.ElapsedMillis()); }
   } recorder{span};
-  auto rs = endpoint.Query(
-      PotentialRelevantVerticesQuery(label, config_->max_fetched_vertices));
+  auto rs = [&] {
+    obs::ScopedSpan probe_span("linking.text_probe");
+    return endpoint.Query(
+        PotentialRelevantVerticesQuery(label, config_->max_fetched_vertices));
+  }();
   if (!rs.ok()) return out;
 
   auto v_col = rs->ColumnIndex("v");
@@ -106,12 +110,25 @@ std::vector<RelevantVertex> JitLinker::LinkEntityUncached(
 std::vector<RelevantVertex> JitLinker::ScoreEntityRows(
     const std::string& label,
     const std::vector<std::pair<std::string, std::string>>& rows) const {
-  // Best affinity per vertex across its descriptions.
+  // Best affinity per vertex across its descriptions.  The label is
+  // embedded once per probe, and each distinct description once: probes
+  // often return the same literal under several predicates or vertices.
   std::unordered_map<std::string, double> best;
-  for (const auto& [v_iri, d_value] : rows) {
-    double score = affinity_->NormalizedScore(label, d_value);
-    auto [it, inserted] = best.emplace(v_iri, score);
-    if (!inserted && score > it->second) it->second = score;
+  {
+    obs::ScopedSpan span("linking.affinity");
+    const embed::SemanticAffinity::Phrase prepared_label =
+        affinity_->Prepare(label);
+    std::unordered_map<std::string_view, double> by_description;
+    for (const auto& [v_iri, d_value] : rows) {
+      auto [memo, fresh] = by_description.emplace(d_value, 0.0);
+      if (fresh) {
+        memo->second = affinity_->NormalizedScore(prepared_label,
+                                                  affinity_->Prepare(d_value));
+      }
+      const double score = memo->second;
+      auto [it, inserted] = best.emplace(v_iri, score);
+      if (!inserted && score > it->second) it->second = score;
+    }
   }
   std::vector<RelevantVertex> out;
   out.reserve(best.size());
@@ -173,22 +190,15 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
     }
   }
 
-  // Cache predicate descriptions and scores across anchors.
-  std::unordered_map<std::string, double> score_cache;
-  auto predicate_score = [&](const std::string& p_iri) {
-    auto it = score_cache.find(p_iri);
-    if (it != score_cache.end()) return it->second;
-    double s =
-        affinity_->NormalizedScore(
-            relation_label, PredicateDescription(p_iri, endpoint));
-    score_cache.emplace(p_iri, s);
-    return s;
-  };
-
+  // outgoingPredicate(v) and incomingPredicate(v) (Sec. 5.2); both
+  // directions because the PGP is undirected.  Each distinct predicate is
+  // described at its first encounter and scored once, after the walk.
+  std::unordered_map<std::string, double> scores;
+  // Per distinct predicate, in first-encounter order: its score slot in
+  // `scores` and its description.
+  std::vector<std::pair<double*, std::string>> unscored;
   std::unordered_set<std::string> seen;  // (p, v, o) dedup.
   for (const auto& [v_iri, node] : anchor_vertices) {
-    // outgoingPredicate(v) and incomingPredicate(v) (Sec. 5.2); both
-    // directions because the PGP is undirected.
     for (bool vertex_is_object : {false, true}) {
       std::optional<std::vector<std::string>> preds =
           lookup(v_iri, vertex_is_object);
@@ -197,9 +207,13 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
         std::string key =
             p_iri + "\x1f" + v_iri + (vertex_is_object ? "\x1fO" : "\x1fS");
         if (!seen.insert(key).second) continue;
+        auto [it, fresh] = scores.emplace(p_iri, 0.0);
+        if (fresh) {
+          unscored.emplace_back(&it->second,
+                                PredicateDescription(p_iri, endpoint));
+        }
         RelevantPredicate rp;
         rp.iri = p_iri;
-        rp.score = predicate_score(p_iri);
         rp.anchor_iri = v_iri;
         rp.anchor_node = node;
         rp.vertex_is_object = vertex_is_object;
@@ -207,6 +221,17 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
       }
     }
   }
+
+  {
+    obs::ScopedSpan span("linking.affinity");
+    const embed::SemanticAffinity::Phrase prepared_label =
+        affinity_->Prepare(relation_label);
+    for (auto& [score, description] : unscored) {
+      *score = affinity_->NormalizedScore(prepared_label,
+                                          affinity_->Prepare(description));
+    }
+  }
+  for (RelevantPredicate& rp : out) rp.score = scores[rp.iri];
   KeepTopK(out, config_->top_k_predicates);
   return out;
 }
@@ -227,7 +252,10 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
             vertex_is_object
                 ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + v_iri + "> . }"
                 : "SELECT DISTINCT ?p WHERE { <" + v_iri + "> ?p ?obj . }";
-        auto rs = endpoint.Query(query);
+        auto rs = [&] {
+          obs::ScopedSpan probe_span("linking.predicate_probe");
+          return endpoint.Query(query);
+        }();
         if (!rs.ok()) return std::nullopt;
         std::vector<std::string> preds;
         preds.reserve(rs->NumRows());
@@ -297,6 +325,7 @@ void JitLinker::LinkNodesBatched(const qu::Pgp& pgp, Agp* agp,
            "\" . } ";
     }
     q += "}";
+    obs::ScopedSpan probe_span("linking.text_probe");
     return endpoint.QueryBatch(q, chunk.size());
   };
   std::vector<util::StatusOr<sparql::ResultSet>> results;
@@ -441,6 +470,7 @@ void JitLinker::LinkEdgesBatched(Agp* agp,
            "} ";
     }
     q += "}";
+    obs::ScopedSpan probe_span("linking.predicate_probe");
     return endpoint.QueryBatch(q, chunk.size());
   };
   std::vector<util::StatusOr<sparql::ResultSet>> results;

@@ -68,6 +68,14 @@ class JitLinker {
   static std::string PotentialRelevantVerticesQuery(const std::string& label,
                                                     size_t max_vr);
 
+  // Ranking half of Algorithm 1, shared by the serial and batched paths
+  // (exposed for tests): scores (vertex IRI, description) result rows
+  // against `label` and keeps the top-k vertices.  The label is embedded
+  // once and each distinct description scored once.
+  std::vector<RelevantVertex> ScoreEntityRows(
+      const std::string& label,
+      const std::vector<std::pair<std::string, std::string>>& rows) const;
+
   // Algorithm 2 for a single edge.  Public so that baselines with their
   // own entity-linking indexes (EDGQA's BERT-ranked relation linking is
   // behaviourally the same semantic ranking) can reuse it on an Agp whose
@@ -90,13 +98,6 @@ class JitLinker {
   // Uncached Algorithm 1 (the actual endpoint round-trip + ranking).
   std::vector<RelevantVertex> LinkEntityUncached(
       const std::string& label, sparql::Endpoint& endpoint) const;
-
-  // Ranking half of Algorithm 1, shared by the serial and batched paths:
-  // scores (vertex IRI, description) result rows against `label` and keeps
-  // the top-k vertices.
-  std::vector<RelevantVertex> ScoreEntityRows(
-      const std::string& label,
-      const std::vector<std::pair<std::string, std::string>>& rows) const;
 
   // Q(l_n) of Sec. 5.1: disjunction of the label's content words, the
   // argument of <bif:contains>.

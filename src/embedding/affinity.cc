@@ -7,59 +7,51 @@
 
 namespace kgqan::embed {
 
-namespace {
-
-struct TokenEmbedding {
-  const Vec* vec;
-  bool from_word_model;
-};
-
-}  // namespace
-
 SemanticAffinity::SemanticAffinity(AffinityMode mode)
     : mode_(mode), sentences_(&words_) {}
 
-double SemanticAffinity::Score(std::string_view a, std::string_view b) const {
+SemanticAffinity::Phrase SemanticAffinity::Prepare(
+    std::string_view phrase) const {
+  Phrase out;
   if (mode_ == AffinityMode::kCoarseGrained) {
-    double cos = Cosine(sentences_.Embed(a), sentences_.Embed(b));
-    return std::max(0.0, cos);
-  }
-
-  auto embed_phrase = [&](std::string_view phrase) {
-    std::vector<TokenEmbedding> out;
+    out.pooled_ = std::make_unique<Vec>(sentences_.Embed(phrase));
+    out.tokens_.push_back(
+        {out.pooled_.get(), Norm(*out.pooled_), /*from_word_model=*/true});
+  } else {
     for (const std::string& tok : text::ContentTokens(phrase)) {
-      if (Lexicon::IsKnownWord(tok)) {
-        out.push_back({&words_.Embed(tok), /*from_word_model=*/true});
-      } else {
-        out.push_back({&chars_.Embed(tok), /*from_word_model=*/false});
-      }
+      const bool known = Lexicon::IsKnownWord(tok);
+      const Vec& vec = known ? words_.Embed(tok) : chars_.Embed(tok);
+      out.tokens_.push_back({&vec, Norm(vec), known});
     }
-    return out;
-  };
+  }
+  out.self_score_ = Score(out, out);
+  return out;
+}
 
-  std::vector<TokenEmbedding> xs = embed_phrase(a);
-  std::vector<TokenEmbedding> ys = embed_phrase(b);
+double SemanticAffinity::Score(const Phrase& a, const Phrase& b) const {
+  const auto& xs = a.tokens_;
+  const auto& ys = b.tokens_;
   if (xs.empty() || ys.empty()) return 0.0;
 
-  // Eq. 1: mean over all cross pairs; cross-model pairs score 0.
+  // Eq. 1: mean over all cross pairs; cross-model pairs score 0.  Each
+  // cosine is Cosine()'s own expression over the cached norms.
   double sum = 0.0;
-  for (const TokenEmbedding& x : xs) {
-    for (const TokenEmbedding& y : ys) {
+  for (const Phrase::Token& x : xs) {
+    for (const Phrase::Token& y : ys) {
       if (x.from_word_model != y.from_word_model) continue;
-      sum += std::max(0.0, Cosine(*x.vec, *y.vec));
+      if (x.norm < 1e-9 || y.norm < 1e-9) continue;
+      sum += std::max(0.0, Dot(*x.vec, *y.vec) / (x.norm * y.norm));
     }
   }
   return sum / (static_cast<double>(xs.size()) * static_cast<double>(ys.size()));
 }
 
-double SemanticAffinity::NormalizedScore(std::string_view a,
-                                         std::string_view b) const {
+double SemanticAffinity::NormalizedScore(const Phrase& a,
+                                         const Phrase& b) const {
   double raw = Score(a, b);
   if (raw <= 0.0) return 0.0;
-  double self_a = Score(a, a);
-  double self_b = Score(b, b);
-  if (self_a <= 0.0 || self_b <= 0.0) return 0.0;
-  double norm = raw / std::sqrt(self_a * self_b);
+  if (a.self_score_ <= 0.0 || b.self_score_ <= 0.0) return 0.0;
+  double norm = raw / std::sqrt(a.self_score_ * b.self_score_);
   return std::min(1.0, norm);
 }
 

@@ -6,11 +6,19 @@
 // (spelling) model, and pairs mixing the two models score 0 — exactly the
 // rules of Eq. 1.  Coarse-grained mode: one pooled vector per phrase
 // (GPT-3 stand-in), Eq. 1 degenerates to a single cosine.
+//
+// Callers that score one phrase against many (the linker ranks up to
+// maxVR descriptions against one node label) Prepare() it once: the
+// phrase is tokenized and embedded once, its token norms and its Eq. 1
+// self-score are kept, and each pair then costs only the cross-pair dot
+// products.
 
 #ifndef KGQAN_EMBEDDING_AFFINITY_H_
 #define KGQAN_EMBEDDING_AFFINITY_H_
 
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "embedding/char_embedder.h"
 #include "embedding/lexicon.h"
@@ -26,6 +34,25 @@ enum class AffinityMode {
 
 class SemanticAffinity {
  public:
+  // A phrase tokenized and embedded once, ready to be scored against many
+  // others.  Its token vectors point into the embedder caches of the
+  // SemanticAffinity that prepared it, so it must not outlive that object.
+  // Move-only: coarse-grained mode owns its pooled vector.
+  class Phrase {
+   private:
+    friend class SemanticAffinity;
+
+    struct Token {
+      const Vec* vec;
+      double norm;  // std::sqrt(Dot(*vec, *vec)), as Cosine computes it.
+      bool from_word_model;
+    };
+
+    std::vector<Token> tokens_;
+    std::unique_ptr<Vec> pooled_;  // Coarse-grained mode's single token.
+    double self_score_ = 0.0;      // Raw Eq. 1 Score(p, p).
+  };
+
   explicit SemanticAffinity(AffinityMode mode = AffinityMode::kFineGrained);
 
   SemanticAffinity(const SemanticAffinity&) = delete;
@@ -33,10 +60,18 @@ class SemanticAffinity {
 
   AffinityMode mode() const { return mode_; }
 
+  // Tokenizes and embeds `phrase` once (fine-grained: one token per
+  // content word; coarse-grained: the pooled phrase vector as its single
+  // token) and computes its self-score.
+  Phrase Prepare(std::string_view phrase) const;
+
   // Raw Eq. 1 score in [0, 1]; higher = semantically closer.  Negative
   // cosines are clamped to 0 so unrelated pairs do not drag multi-word
   // scores below zero.
-  double Score(std::string_view a, std::string_view b) const;
+  double Score(const Phrase& a, const Phrase& b) const;
+  double Score(std::string_view a, std::string_view b) const {
+    return Score(Prepare(a), Prepare(b));
+  }
 
   // Length-normalized affinity: Score(a, b) / sqrt(Score(a,a)*Score(b,b)).
   // Raw Eq. 1 self-affinity of an n-word phrase is ~1/n (off-diagonal
@@ -44,7 +79,10 @@ class SemanticAffinity {
   // labels; normalization restores "identical phrase = 1.0", matching the
   // linker scores the paper reports in Figure 4 (Kaliningrad -> 1.00,
   // "Yantar, Kaliningrad" -> 0.83).  This is what the linker uses.
-  double NormalizedScore(std::string_view a, std::string_view b) const;
+  double NormalizedScore(const Phrase& a, const Phrase& b) const;
+  double NormalizedScore(std::string_view a, std::string_view b) const {
+    return NormalizedScore(Prepare(a), Prepare(b));
+  }
 
   const SubwordEmbedder& word_model() const { return words_; }
 

@@ -1,6 +1,7 @@
 #include "text/text_index.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "text/tokenizer.h"
 #include "util/string_util.h"
@@ -86,63 +87,78 @@ void TextIndex::SortPostings() {
 
 std::vector<rdf::TermId> TextIndex::MatchLiterals(const ContainsQuery& query,
                                                   size_t limit) const {
-  // score = number of distinct query words contained in the literal.
-  std::unordered_map<rdf::TermId, uint32_t> word_hits;
-
-  // Collect all distinct query words for scoring.
+  // Distinct query words; a literal's score is how many of them it contains.
   std::vector<std::string> words;
   for (const auto& group : query.or_groups) {
     for (const auto& w : group) words.push_back(w);
   }
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
-
-  auto posting = [&](const std::string& w) -> const std::vector<rdf::TermId>* {
-    auto it = postings_.find(w);
-    return it == postings_.end() ? nullptr : &it->second;
+  auto word_index = [&](const std::string& w) {
+    return static_cast<size_t>(
+        std::lower_bound(words.begin(), words.end(), w) - words.begin());
   };
-
-  for (const std::string& w : words) {
-    if (const auto* ids = posting(w)) {
-      for (rdf::TermId id : *ids) ++word_hits[id];
-    }
+  std::vector<std::vector<size_t>> groups;
+  groups.reserve(query.or_groups.size());
+  for (const auto& group : query.or_groups) {
+    std::vector<size_t>& g = groups.emplace_back();
+    for (const auto& w : group) g.push_back(word_index(w));
   }
 
-  auto literal_has = [&](rdf::TermId id, const std::string& w) {
-    const auto* ids = posting(w);
-    return ids != nullptr && std::binary_search(ids->begin(), ids->end(), id);
+  // Cursors over the words' sorted posting lists (empty if unindexed).
+  struct Cursor {
+    const rdf::TermId* it = nullptr;
+    const rdf::TermId* end = nullptr;
   };
+  std::vector<Cursor> cursors(words.size());
+  for (size_t i = 0; i < words.size(); ++i) {
+    auto found = postings_.find(words[i]);
+    if (found == postings_.end()) continue;
+    cursors[i] = {found->second.data(),
+                  found->second.data() + found->second.size()};
+  }
 
+  // Merge: visit each matched literal once, in ascending id order, with the
+  // set of query words whose postings contain it.
   std::vector<std::pair<uint32_t, rdf::TermId>> ranked;
-  ranked.reserve(word_hits.size());
-  for (const auto& [id, hits] : word_hits) {
-    bool ok = false;
-    for (const auto& group : query.or_groups) {
-      bool all = true;
-      for (const std::string& w : group) {
-        if (!literal_has(id, w)) {
-          all = false;
-          break;
-        }
-      }
-      if (all) {
-        ok = true;
-        break;
+  std::vector<char> has(words.size());
+  while (true) {
+    bool any = false;
+    rdf::TermId id = 0;
+    for (const Cursor& c : cursors) {
+      if (c.it != c.end && (!any || *c.it < id)) {
+        id = *c.it;
+        any = true;
       }
     }
+    if (!any) break;
+    uint32_t hits = 0;
+    for (size_t i = 0; i < cursors.size(); ++i) {
+      Cursor& c = cursors[i];
+      has[i] = c.it != c.end && *c.it == id;
+      if (has[i]) {
+        ++c.it;
+        ++hits;
+      }
+    }
+    bool ok = std::any_of(groups.begin(), groups.end(), [&](const auto& g) {
+      return std::all_of(g.begin(), g.end(), [&](size_t w) { return has[w]; });
+    });
     if (ok) ranked.emplace_back(hits, id);
   }
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;  // More hits first.
-    return a.second < b.second;                        // Stable tiebreak.
-  });
-  if (ranked.size() > limit) ranked.resize(limit);
+
+  // Top `limit` by hits (descending), ties by id (ascending).
+  const size_t keep = std::min(limit, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                    ranked.end(),
+                    [](const auto& a, const auto& b) {
+                      if (a.first != b.first) return a.first > b.first;
+                      return a.second < b.second;
+                    });
   std::vector<rdf::TermId> out;
-  out.reserve(ranked.size());
-  for (const auto& [hits, id] : ranked) {
-    (void)hits;
-    out.push_back(id);
-  }
+  out.reserve(keep);
+  for (size_t i = 0; i < keep; ++i) out.push_back(ranked[i].second);
   return out;
 }
 

@@ -152,7 +152,7 @@ benchgen::BuiltKg BuildKgForRound(int round, uint64_t seed) {
 // Random SPARQL through the public Endpoint API: the compact endpoint and
 // the v1 endpoint must return byte-identical rows, before and after a live
 // AddNTriples update that lands in the compact store's delta overlay.
-TEST(CompactStorePropertyTest, ByteIdenticalToV1AcrossModesAndShardCounts) {
+TEST(CompactStorePropertyTest, ByteIdenticalToV1) {
   constexpr int kKgRounds = 3;
   constexpr int kCasesPerKg = 14;
 

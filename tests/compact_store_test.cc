@@ -82,7 +82,7 @@ TEST(CompactStoreTest, ParallelBuildEqualsSerialBuild) {
 // Locate must cover the matching triples exactly: its range counts them,
 // and scanning it with MatchRange reproduces Match's sequence — with and
 // without a live overlay.
-TEST(CompactStoreTest, PartitionCoversExactlyWithAndWithoutOverlay) {
+TEST(CompactStoreTest, MatchRangeCoversExactlyWithAndWithoutOverlay) {
   CompactStore compact(RandomGraph(13, 700));
   TermId p = *compact.dictionary().FindIri("http://x/p1");
 

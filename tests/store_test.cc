@@ -102,7 +102,7 @@ TEST(TripleStoreTest, EarlyTerminationInMatch) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(TripleStoreTest, LocateAndPartitionCoverExactly) {
+TEST(TripleStoreTest, LocateAndMatchRangeCoverExactly) {
   Graph g;
   for (int i = 0; i < 500; ++i) {
     g.AddIris("http://x/s" + std::to_string(i % 40), "http://x/p",
