@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   double scale = bench::ParseScale(argc, argv);
 
   benchgen::BuiltKg kg = benchgen::BuildWikidataStyleKg(scale, 77);
-  sparql::LocalEndpoint endpoint("wikidata-style", std::move(kg.graph));
+  sparql::Endpoint endpoint("wikidata-style", std::move(kg.graph));
   std::vector<WikidataQuestion> questions =
       MakeQuestions(kg, endpoint, /*per_relation=*/15);
   std::printf("Extension: Wikidata-style KG (opaque Q-id entities and P-id "

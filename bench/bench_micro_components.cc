@@ -17,11 +17,11 @@ namespace {
 using namespace kgqan;
 
 // Shared fixtures (built once; google-benchmark re-enters main loops).
-sparql::LocalEndpoint& SharedEndpoint() {
-  static sparql::LocalEndpoint* endpoint = [] {
+sparql::Endpoint& SharedEndpoint() {
+  static sparql::Endpoint* endpoint = [] {
     benchgen::BuiltKg kg =
         benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 1.0, 7);
-    return new sparql::LocalEndpoint("micro", std::move(kg.graph));
+    return new sparql::Endpoint("micro", std::move(kg.graph));
   }();
   return *endpoint;
 }

@@ -21,7 +21,7 @@ int main() {
   const benchgen::Fact paper_fact = kg.facts.at("author").front();
   const benchgen::Fact affiliation_fact = kg.facts.at("affiliation").front();
 
-  sparql::LocalEndpoint endpoint("dblp-demo", std::move(kg.graph));
+  sparql::Endpoint endpoint("dblp-demo", std::move(kg.graph));
   std::printf("DBLP-style endpoint: %zu triples.\n\n",
               endpoint.NumTriples());
 

@@ -19,7 +19,7 @@ int main() {
   benchgen::BuiltKg kg =
       benchgen::BuildScholarlyKg(benchgen::KgFlavor::kMag, 0.05, 7);
   const benchgen::Fact fact = kg.facts.at("author").front();
-  sparql::LocalEndpoint endpoint("mag-demo", std::move(kg.graph));
+  sparql::Endpoint endpoint("mag-demo", std::move(kg.graph));
   std::printf("MAG-style endpoint: %zu triples; example entity URI: <%s>\n",
               endpoint.NumTriples(), fact.subject.iri.c_str());
 

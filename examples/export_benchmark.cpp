@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
   // The endpoint owns the store; re-render its triples as a Graph.
   {
     rdf::Graph graph;
-    bench.endpoint->Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
-                          [&](const rdf::Triple& t) {
-                            graph.Add(bench.endpoint->StoreTerm(t.s),
-                                      bench.endpoint->StoreTerm(t.p),
-                                      bench.endpoint->StoreTerm(t.o));
-                            return true;
-                          });
+    const store::TripleStore& store = bench.endpoint->store();
+    const rdf::TermDictionary& dict = store.dictionary();
+    store.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
+                [&](const rdf::Triple& t) {
+                  graph.Add(dict.Get(t.s), dict.Get(t.p), dict.Get(t.o));
+                  return true;
+                });
     std::ofstream out(dir / "kg.ttl");
     out << rdf::WriteTurtle(graph, PrefixesFor(id));
   }

@@ -6,11 +6,6 @@
 //   <http://dbpedia.org/resource/Michelle_Obama>
 //
 // Without a file argument it serves a bundled demo KG.
-// `--store=compact` serves the KG from the dictionary-compressed CSR
-// store (store v2; answers are byte-identical to the default store);
-// `--snapshot-out=FILE` persists that store after loading so a later run
-// with `--snapshot-in=FILE` cold-starts from the mmap'd snapshot in
-// milliseconds instead of re-parsing the KG.
 // Multi-intention questions ("When and where was X born?") are
 // decomposed automatically; prefixing a question with "explain " prints
 // the full pipeline trace (PGP, links, candidate queries).
@@ -18,7 +13,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -50,86 +44,27 @@ kgqan::util::StatusOr<kgqan::rdf::Graph> LoadGraph(const char* path) {
 int main(int argc, char** argv) {
   using namespace kgqan;
 
-  const char* kg_path = nullptr;
-  bool compact = false;
-  std::string snapshot_in, snapshot_out;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--store=", 0) == 0) {
-      std::string fmt = arg.substr(8);
-      if (fmt == "compact") {
-        compact = true;
-      } else if (fmt != "v1") {
-        std::fprintf(stderr, "unknown --store format '%s' (v1|compact)\n",
-                     fmt.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--snapshot-in=", 0) == 0) {
-      snapshot_in = arg.substr(14);
-    } else if (arg.rfind("--snapshot-out=", 0) == 0) {
-      snapshot_out = arg.substr(15);
-    } else if (kg_path == nullptr) {
-      kg_path = argv[i];
-    }
-  }
-  // Snapshots only exist for the compact store.
-  if (!snapshot_in.empty() || !snapshot_out.empty()) compact = true;
-
-  std::unique_ptr<sparql::Endpoint> endpoint;
-  if (!snapshot_in.empty()) {
-    // Cold start: mmap the compact snapshot, skipping parse + index build.
-    auto loaded = sparql::CompactEndpoint::FromSnapshot(
-        snapshot_in, snapshot_in);
+  std::string name;
+  rdf::Graph graph;
+  if (argc > 1) {
+    auto loaded = LoadGraph(argv[1]);
     if (!loaded.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   loaded.status().ToString().c_str());
+      std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    std::printf("(mmap-loaded compact snapshot %s)\n", snapshot_in.c_str());
-    endpoint = std::move(loaded).value();
+    name = argv[1];
+    graph = std::move(loaded).value();
   } else {
-    std::string name;
-    rdf::Graph graph;
-    if (kg_path != nullptr) {
-      auto loaded = LoadGraph(kg_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     loaded.status().ToString().c_str());
-        return 1;
-      }
-      name = kg_path;
-      graph = std::move(loaded).value();
-    } else {
-      benchgen::BuiltKg kg =
-          benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.3, 99);
-      std::printf("(no KG file given; serving a bundled demo KG)\n");
-      name = "demo";
-      graph = std::move(kg.graph);
-    }
-    if (compact) {
-      endpoint = std::make_unique<sparql::CompactEndpoint>(std::move(name),
-                                                           std::move(graph));
-    } else {
-      endpoint = std::make_unique<sparql::LocalEndpoint>(std::move(name),
-                                                         std::move(graph));
-    }
+    benchgen::BuiltKg kg =
+        benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.3, 99);
+    std::printf("(no KG file given; serving a bundled demo KG)\n");
+    name = "demo";
+    graph = std::move(kg.graph);
   }
-  if (compact) {
-    std::printf("(serving from the compact dictionary-compressed store)\n");
-  }
-  if (!snapshot_out.empty()) {
-    // --snapshot-out forces the compact store (see above).
-    auto& compact_ep = static_cast<sparql::CompactEndpoint&>(*endpoint);
-    util::Status st = compact_ep.WriteSnapshot(snapshot_out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("(wrote compact snapshot %s)\n", snapshot_out.c_str());
-  }
+  sparql::Endpoint endpoint(std::move(name), std::move(graph));
   std::printf("KG ready: %zu triples.  Ask a question per line; Ctrl-D to "
               "exit.\n",
-              endpoint->NumTriples());
+              endpoint.NumTriples());
 
   core::KgqanEngine engine;
   core::MultiIntentionAnswerer multi(&engine);
@@ -141,7 +76,7 @@ int main(int argc, char** argv) {
     if (!line.empty()) {
       if (core::MultiIntentionAnswerer::IsMultiIntention(line)) {
         for (const core::IntentionAnswer& ia :
-             multi.Answer(line, *endpoint)) {
+             multi.Answer(line, endpoint)) {
           std::printf("[%s] %s\n", ia.intention.c_str(),
                       ia.question.c_str());
           for (const rdf::Term& a : ia.response.answers) {
@@ -151,10 +86,10 @@ int main(int argc, char** argv) {
         }
       } else if (line.rfind("explain ", 0) == 0) {
         core::KgqanResult full =
-            engine.AnswerFull(line.substr(8), *endpoint);
+            engine.AnswerFull(line.substr(8), endpoint);
         std::printf("%s", core::Explain(full).c_str());
       } else {
-        core::QaResponse r = engine.Answer(line, *endpoint);
+        core::QaResponse r = engine.Answer(line, endpoint);
         if (!r.understood) {
           std::printf("(could not understand the question)\n");
         } else if (r.is_boolean) {

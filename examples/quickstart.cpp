@@ -34,7 +34,7 @@ int main() {
                  graph.status().ToString().c_str());
     return 1;
   }
-  sparql::LocalEndpoint endpoint("quickstart", std::move(graph).value());
+  sparql::Endpoint endpoint("quickstart", std::move(graph).value());
   std::printf("Endpoint '%s' serving %zu triples.\n",
               endpoint.name().c_str(), endpoint.NumTriples());
 

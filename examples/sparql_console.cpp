@@ -18,7 +18,7 @@ int main() {
 
   benchgen::BuiltKg kg =
       benchgen::BuildGeneralKg(benchgen::KgFlavor::kDbpedia, 0.2, 11);
-  sparql::LocalEndpoint endpoint("console", std::move(kg.graph));
+  sparql::Endpoint endpoint("console", std::move(kg.graph));
   std::printf("SPARQL console over %zu triples.  One query per line; "
               "Ctrl-D to exit.\n",
               endpoint.NumTriples());

@@ -39,10 +39,11 @@ void UriTokenIndex::Build(const sparql::Endpoint& endpoint) {
       postings_[w].push_back(term.value);
     }
   };
+  const store::TripleStore& store = endpoint.store();
   auto index_triple = [&](const rdf::Triple& t) {
-    const rdf::Term s = endpoint.StoreTerm(t.s);
-    const rdf::Term p = endpoint.StoreTerm(t.p);
-    const rdf::Term o = endpoint.StoreTerm(t.o);
+    const rdf::Term& s = store.dictionary().Get(t.s);
+    const rdf::Term& p = store.dictionary().Get(t.p);
+    const rdf::Term& o = store.dictionary().Get(t.o);
     index_iri(s);
     index_iri(o);
     // Forward + reverse adjacency entries of the subgraph-matching index
@@ -52,9 +53,9 @@ void UriTokenIndex::Build(const sparql::Endpoint& endpoint) {
     return true;
   };
   // Baselines pre-process the whole KG (unlike KGQAn), so they scan every
-  // triple through the backend-agnostic facade accessors.
-  endpoint.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
-                 index_triple);
+  // triple of the endpoint's store.
+  store.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
+              index_triple);
 }
 
 std::vector<std::string> UriTokenIndex::Lookup(const std::string& phrase,
@@ -104,9 +105,10 @@ void LabelEnsembleIndex::Build(
     const sparql::Endpoint& endpoint,
     const std::vector<std::string>& label_predicates) {
   nlp::PosTagger tagger;  // Falcon performs POS tagging on descriptions.
+  const store::TripleStore& store = endpoint.store();
   auto index_label = [&](const rdf::Triple& t) {
-    const rdf::Term subject = endpoint.StoreTerm(t.s);
-    const rdf::Term object = endpoint.StoreTerm(t.o);
+    const rdf::Term& subject = store.dictionary().Get(t.s);
+    const rdf::Term& object = store.dictionary().Get(t.o);
     if (!subject.IsIri() || !object.IsLiteral()) return true;
     std::string lower = util::ToLower(object.value);
     exact_[lower].push_back(subject.value);
@@ -126,9 +128,9 @@ void LabelEnsembleIndex::Build(
   // Per-predicate scans over the store (the index is a pre-processing
   // artifact).
   for (const std::string& pred : label_predicates) {
-    auto pid = endpoint.FindStoreIri(pred);
+    auto pid = store.dictionary().FindIri(pred);
     if (!pid.has_value()) continue;
-    endpoint.Match(rdf::kNullTermId, *pid, rdf::kNullTermId, index_label);
+    store.Match(rdf::kNullTermId, *pid, rdf::kNullTermId, index_label);
   }
 }
 

@@ -126,7 +126,7 @@ Benchmark BuildBenchmark(BenchmarkId id, double scale) {
   QuestionGenerator gen(&kg, spec.style, spec.question_seed);
   std::vector<BenchQuestion> questions = gen.Generate(mix);
 
-  bench.endpoint = std::make_unique<sparql::LocalEndpoint>(
+  bench.endpoint = std::make_unique<sparql::Endpoint>(
       bench.kg_name, std::move(kg.graph));
 
   // Materialize gold answers; drop questions whose gold query returns

@@ -4,16 +4,31 @@
 #include <chrono>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "obs/trace.h"
 #include "rdf/ntriples.h"
+#include "sparql/evaluator.h"
 #include "sparql/parser.h"
 #include "util/cancel.h"
 #include "util/stopwatch.h"
 
 namespace kgqan::sparql {
 
-Endpoint::Endpoint(std::string name) : name_(std::move(name)) {
+namespace {
+
+// Sets registry gauge `name` to an absolute value (gauges only expose
+// Add/Sub, so this publishes the delta against the live value).
+void SetGauge(std::string_view name, size_t value) {
+  obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(name);
+  const int64_t delta = static_cast<int64_t>(value) - gauge.Value();
+  if (delta != 0) gauge.Add(delta);
+}
+
+}  // namespace
+
+Endpoint::Endpoint(std::string name, rdf::Graph graph)
+    : name_(std::move(name)), store_(std::move(graph)) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_requests_ = &registry.GetCounter("endpoint.requests");
   metric_round_trips_ = &registry.GetCounter("endpoint.round_trips");
@@ -21,6 +36,8 @@ Endpoint::Endpoint(std::string name) : name_(std::move(name)) {
   metric_cancelled_ = &registry.GetCounter("endpoint.cancelled");
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
+  text_index_ = std::make_unique<text::TextIndex>(store_);
+  PublishStoreGauges();
 }
 
 util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
@@ -47,12 +64,6 @@ void Endpoint::RecordCancelled() {
   if (obs::Trace* trace = obs::CurrentTrace()) {
     trace->AddCounter(obs::TraceCounter::kEndpointCancelled, 1);
   }
-}
-
-void Endpoint::SetGauge(std::string_view name, size_t value) {
-  obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(name);
-  const int64_t delta = static_cast<int64_t>(value) - gauge.Value();
-  if (delta != 0) gauge.Add(delta);
 }
 
 util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
@@ -95,7 +106,7 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
     // Shared lock: the store and text index are read-only during
     // evaluation; only AddNTriples mutates them (under the unique lock).
     std::shared_lock<std::shared_mutex> lock(data_mutex_);
-    result = Evaluate(*parsed);
+    result = Evaluate(*parsed, store_, *text_index_);
   }
   metric_query_latency_ms_->Record(span.watch().ElapsedMillis());
   if (result.ok()) {
@@ -129,96 +140,24 @@ util::StatusOr<size_t> Endpoint::AddNTriples(std::string_view ntriples) {
                        delta.dictionary().Get(t.o)});
   }
   std::unique_lock<std::shared_mutex> lock(data_mutex_);
-  size_t added = InsertTriples(triples);
-  if (added > 0) {
-    generation_.fetch_add(1, std::memory_order_release);
-  }
-  return added;
-}
-
-LocalEndpoint::LocalEndpoint(std::string name, rdf::Graph graph,
-                             EndpointOptions options)
-    : Endpoint(std::move(name)),
-      store_(std::move(graph), options.build_threads) {
-  text_index_ = std::make_unique<text::TextIndex>(store_);
-  PublishStoreGauges();
-}
-
-util::StatusOr<ResultSet> LocalEndpoint::Evaluate(
-    const sparql::Query& query) const {
-  return sparql::Evaluate(query, store_, *text_index_, eval_options_);
-}
-
-size_t LocalEndpoint::InsertTriples(
-    const std::vector<std::array<rdf::Term, 3>>& triples) {
   size_t added = store_.Insert(triples);
   if (added > 0) {
     // The built-in full-text index covers the new literals after a
     // rebuild, as an RDF engine's background indexer would.
     text_index_ = std::make_unique<text::TextIndex>(store_);
     PublishStoreGauges();
+    generation_.fetch_add(1, std::memory_order_release);
   }
   return added;
 }
 
-void LocalEndpoint::PublishStoreGauges() const {
-  // v1 keeps decoded Terms in the dictionary, so its whole footprint is
-  // index + dictionary; it has no delta overlay.
+void Endpoint::PublishStoreGauges() const {
+  // The dictionary keeps decoded Terms, so the store's footprint is its
+  // six permutation indexes plus the dictionary.
   const size_t dict = store_.dictionary().ApproxBytes();
   const size_t total = store_.ApproxIndexBytes();
   SetGauge("store.index_bytes", total > dict ? total - dict : 0);
   SetGauge("store.dict_bytes", dict);
-  SetGauge("store.overlay_triples", 0);
-}
-
-CompactEndpoint::CompactEndpoint(std::string name, rdf::Graph graph,
-                                 EndpointOptions options)
-    : Endpoint(std::move(name)),
-      store_(std::move(graph), options.build_threads) {
-  text_index_ = std::make_unique<text::TextIndex>(store_);
-  PublishStoreGauges();
-}
-
-CompactEndpoint::CompactEndpoint(std::string name, store::CompactStore store)
-    : Endpoint(std::move(name)), store_(std::move(store)) {
-  text_index_ = std::make_unique<text::TextIndex>(store_);
-  PublishStoreGauges();
-}
-
-util::StatusOr<std::unique_ptr<CompactEndpoint>> CompactEndpoint::FromSnapshot(
-    std::string name, const std::string& snapshot_path) {
-  store::CompactStore store;
-  KGQAN_RETURN_IF_ERROR(store.LoadSnapshot(snapshot_path));
-  return std::unique_ptr<CompactEndpoint>(
-      new CompactEndpoint(std::move(name), std::move(store)));
-}
-
-util::StatusOr<ResultSet> CompactEndpoint::Evaluate(
-    const sparql::Query& query) const {
-  return sparql::Evaluate(query, store_, *text_index_, eval_options_);
-}
-
-size_t CompactEndpoint::InsertTriples(
-    const std::vector<std::array<rdf::Term, 3>>& triples) {
-  size_t added = store_.Insert(triples);
-  if (added > 0) {
-    text_index_ = std::make_unique<text::TextIndex>(store_);
-    PublishStoreGauges();
-  }
-  return added;
-}
-
-util::Status CompactEndpoint::WriteSnapshot(const std::string& path) {
-  // WriteSnapshot compacts the overlay first, so republish the gauges.
-  util::Status status = store_.WriteSnapshot(path);
-  PublishStoreGauges();
-  return status;
-}
-
-void CompactEndpoint::PublishStoreGauges() const {
-  SetGauge("store.index_bytes", store_.index_bytes() + store_.overlay_bytes());
-  SetGauge("store.dict_bytes", store_.dict_bytes());
-  SetGauge("store.overlay_triples", store_.overlay_triples());
 }
 
 }  // namespace kgqan::sparql

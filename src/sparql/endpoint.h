@@ -1,23 +1,18 @@
-// SPARQL endpoint facade: the *only* interface KGQAn uses to talk to a
-// knowledge graph, mirroring the publicly accessible HTTP API of Virtuoso /
-// Stardog / Jena endpoints (Figure 2 of the paper).
+// SPARQL endpoint: the *only* interface KGQAn uses to talk to a knowledge
+// graph, mirroring the publicly accessible HTTP API of Virtuoso / Stardog /
+// Jena endpoints (Figure 2 of the paper).
 //
-// `Endpoint` is the abstract facade: it owns parsing, the data lock, the
-// request/round-trip/error accounting, tracing, cancellation and
-// injected-latency behavior shared by every backend, and leaves storage
-// and evaluation to subclasses.  `LocalEndpoint` is the original
-// single-store backend (one TripleStore + its built-in full-text index);
-// `CompactEndpoint` serves the same KG from the compressed, snapshot-capable
-// CompactStore.  Engine, QaServer, the answer cache and the admin plane
-// only ever see `Endpoint`.
+// An `Endpoint` serves one KG from one TripleStore plus its built-in
+// full-text index — the standard, unmodified installation of Sec. 7.1.4 —
+// and owns parsing, the data lock, the request/round-trip/error
+// accounting, tracing, cancellation and injected-latency behavior.
 //
 // Thread-safety: Query() may be called concurrently from any number of
 // threads (the store, text index and evaluator are read-only on the query
 // path; the request counter is atomic).  AddNTriples() takes the writer
 // lock, so live updates serialize against in-flight queries exactly like a
-// public endpoint's update channel.  ResetStats() and
-// mutable_eval_options() are configuration calls: do not race them against
-// queries.
+// public endpoint's update channel.  ResetStats() is a configuration call:
+// do not race it against queries.
 //
 // Observability: besides the global per-endpoint counters, every query is
 // attributed to the calling thread's active obs::Trace (exact per-question
@@ -41,37 +36,26 @@
 #ifndef KGQAN_SPARQL_ENDPOINT_H_
 #define KGQAN_SPARQL_ENDPOINT_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "rdf/graph.h"
-#include "sparql/evaluator.h"
 #include "sparql/result_set.h"
-#include "store/compact_store.h"
 #include "store/triple_store.h"
 #include "text/text_index.h"
 #include "util/status.h"
 
 namespace kgqan::sparql {
 
-struct EndpointOptions {
-  // Threads used to sort the store's six permutation indexes at build
-  // time (1 = unchanged serial build).
-  size_t build_threads = 1;
-};
-
 class Endpoint {
  public:
-  virtual ~Endpoint() = default;
+  // Builds the store and its default full-text index over `graph`.
+  Endpoint(std::string name, rdf::Graph graph);
 
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -96,26 +80,16 @@ class Endpoint {
   util::StatusOr<size_t> AddNTriples(std::string_view ntriples);
 
   // Number of triples in the KG.
-  virtual size_t NumTriples() const = 0;
+  size_t NumTriples() const { return store_.size(); }
 
-  // Physical store access, for index-building baselines (which, unlike
-  // KGQAn, pre-process the KG) and tests.  The accessors are
-  // backend-agnostic — the v1 arrays and the compressed compact store both
-  // answer them — so facade consumers never name a concrete store type.
-  // Calls `fn(triple)` for every triple matching the pattern (kNullTermId
-  // components are wildcards); `fn` returns false to stop early.
-  virtual void Match(
-      rdf::TermId s, rdf::TermId p, rdf::TermId o,
-      const std::function<bool(const rdf::Triple&)>& fn) const = 0;
-  // Term with id `id`, by value: a compact backend decodes terms on
-  // demand from its front-coded dictionary, so there may be no stored
-  // Term to reference.
-  virtual rdf::Term StoreTerm(rdf::TermId id) const = 0;
-  virtual std::optional<rdf::TermId> FindStoreIri(
-      std::string_view iri) const = 0;
+  // Approximate bytes held by the store's indexes and dictionary.
+  size_t ApproxIndexBytes() const { return store_.ApproxIndexBytes(); }
 
-  // Approximate bytes held by the backend's indexes and dictionary.
-  virtual size_t ApproxIndexBytes() const = 0;
+  // Direct substrate access — for index-building baselines (which, unlike
+  // KGQAn, pre-process the KG), exporters and tests.  KGQAn itself only
+  // calls Query().  Not synchronized against AddNTriples.
+  const store::TripleStore& store() const { return store_; }
+  const text::TextIndex& text_index() const { return *text_index_; }
 
   // Request statistics.  query_count counts logical SPARQL requests (each
   // sub-query of a batch counts as one), round_trips counts physical
@@ -142,8 +116,6 @@ class Endpoint {
     return name_ + "#" + std::to_string(generation());
   }
 
-  EvalOptions& mutable_eval_options() { return eval_options_; }
-
   // Latency injection point (tests / serving benchmark): every query
   // sleeps `ms` before evaluating, as if the endpoint were remote.  Safe
   // to flip concurrently with queries (atomic); 0 disables.
@@ -157,29 +129,6 @@ class Endpoint {
     return cancelled_count_.load(std::memory_order_relaxed);
   }
 
- protected:
-  explicit Endpoint(std::string name);
-
-  // Backend hook: evaluate one parsed query with eval_options_.  Called
-  // under the shared data lock, so it may read the store and text index
-  // freely.
-  virtual util::StatusOr<ResultSet> Evaluate(
-      const sparql::Query& query) const = 0;
-
-  // Backend hook: insert pre-parsed term triples and refresh any derived
-  // indexes.  Called under the unique data lock; returns the number of
-  // genuinely new triples.
-  virtual size_t InsertTriples(
-      const std::vector<std::array<rdf::Term, 3>>& triples) = 0;
-
-  // Sets registry gauge `name` to an absolute value (gauges only expose
-  // Add/Sub, so this publishes the delta against the live value).  Used
-  // by backends to surface store memory in /stats: `store.index_bytes`,
-  // `store.dict_bytes`, `store.overlay_triples`.
-  static void SetGauge(std::string_view name, size_t value);
-
-  EvalOptions eval_options_;
-
  private:
   // Sleeps the injected latency in 200µs chunks, polling the calling
   // thread's cancellation token; false when the deadline expired mid-wait.
@@ -187,6 +136,10 @@ class Endpoint {
 
   // Records one cancelled query (metrics + trace attribution).
   void RecordCancelled();
+
+  // Publishes the store's footprint to the `store.index_bytes` and
+  // `store.dict_bytes` registry gauges.
+  void PublishStoreGauges() const;
 
   std::string name_;
   // Process-wide registry metrics (resolved once; registry entries are
@@ -201,107 +154,16 @@ class Endpoint {
   std::atomic<size_t> cancelled_count_{0};
   std::atomic<int64_t> injected_latency_us_{0};
   std::atomic<size_t> generation_{0};
-  // Readers-writer lock between Evaluate (shared) and InsertTriples
-  // (unique, taken by AddNTriples).
+  // Readers-writer lock between evaluation (shared) and AddNTriples
+  // (unique).
   std::shared_mutex data_mutex_;
-};
-
-// The single-store backend: one TripleStore plus its built-in full-text
-// index — the standard, unmodified installation of Sec. 7.1.4.
-class LocalEndpoint : public Endpoint {
- public:
-  // Builds the store and its default full-text index over `graph`.
-  LocalEndpoint(std::string name, rdf::Graph graph,
-                EndpointOptions options = {});
-
-  size_t NumTriples() const override { return store_.size(); }
-  void Match(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-             const std::function<bool(const rdf::Triple&)>& fn) const override {
-    store_.Match(s, p, o, fn);
-  }
-  rdf::Term StoreTerm(rdf::TermId id) const override {
-    return store_.dictionary().Get(id);
-  }
-  std::optional<rdf::TermId> FindStoreIri(
-      std::string_view iri) const override {
-    return store_.dictionary().FindIri(iri);
-  }
-  size_t ApproxIndexBytes() const override {
-    return store_.ApproxIndexBytes();
-  }
-
-  // Direct substrate access — for index-building baselines and tests.
-  // KGQAn itself only calls Query().
-  const store::TripleStore& store() const { return store_; }
-  const text::TextIndex& text_index() const { return *text_index_; }
-
- protected:
-  util::StatusOr<ResultSet> Evaluate(const sparql::Query& query) const override;
-  size_t InsertTriples(
-      const std::vector<std::array<rdf::Term, 3>>& triples) override;
-
- private:
-  void PublishStoreGauges() const;
-
   store::TripleStore store_;
   std::unique_ptr<text::TextIndex> text_index_;
 };
 
-// The compact-store backend (store v2): one dictionary-compressed,
-// snapshot-capable CompactStore plus the built-in full-text index, behind
-// the identical facade.  Answers are byte-identical to LocalEndpoint over
-// the same graph (the compact differential battery's bar); live updates
-// flow through the store's delta overlay.
-class CompactEndpoint : public Endpoint {
- public:
-  // Builds the compressed store and its full-text index over `graph`.
-  CompactEndpoint(std::string name, rdf::Graph graph,
-                  EndpointOptions options = {});
-
-  // Cold start: serves a snapshot previously written by WriteSnapshot,
-  // mmap-loading the store in milliseconds instead of re-parsing and
-  // re-sorting.  (The text index is rebuilt from the store — it is a
-  // derived structure, not part of the snapshot.)
-  static util::StatusOr<std::unique_ptr<CompactEndpoint>> FromSnapshot(
-      std::string name, const std::string& snapshot_path);
-
-  size_t NumTriples() const override { return store_.size(); }
-  void Match(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-             const std::function<bool(const rdf::Triple&)>& fn) const override {
-    store_.Match(s, p, o, fn);
-  }
-  rdf::Term StoreTerm(rdf::TermId id) const override {
-    return store_.dictionary().Get(id);
-  }
-  std::optional<rdf::TermId> FindStoreIri(
-      std::string_view iri) const override {
-    return store_.dictionary().FindIri(iri);
-  }
-  size_t ApproxIndexBytes() const override {
-    return store_.ApproxIndexBytes();
-  }
-
-  // Folds the overlay and persists the store to `path`.  Configuration
-  // call — do not race against queries.
-  util::Status WriteSnapshot(const std::string& path);
-
-  // Direct substrate access — for tests and benchmarks.
-  const store::CompactStore& store() const { return store_; }
-  const text::TextIndex& text_index() const { return *text_index_; }
-
- protected:
-  util::StatusOr<ResultSet> Evaluate(const sparql::Query& query) const override;
-  size_t InsertTriples(
-      const std::vector<std::array<rdf::Term, 3>>& triples) override;
-
- private:
-  CompactEndpoint(std::string name, store::CompactStore store);
-
-  void PublishStoreGauges() const;
-
-  store::CompactStore store_;
-  std::unique_ptr<text::TextIndex> text_index_;
-};
+// The name `kgqabench/` and `benchgen` construct endpoints by; it predates
+// the single-store Endpoint and is kept so that code compiles unchanged.
+using LocalEndpoint = Endpoint;
 
 }  // namespace kgqan::sparql
 

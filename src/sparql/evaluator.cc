@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sparql/planner.h"
-#include "store/compact_store.h"
 #include "util/cancel.h"
 
 namespace kgqan::sparql {
@@ -92,15 +91,9 @@ void CollectVars(const GroupGraphPattern& group, SlotMap* slots) {
   }
 }
 
-// Generic over the store: store::TripleStore (v1) or store::CompactStore.
-// StoreT supplies dictionary(), Locate() -> StoreT::Range, Match and
-// EstimateMatches with identical semantics; every ordering and cap
-// decision below is expressed against that contract, which is what makes
-// the compact store byte-identical to v1 on the same graph.
-template <typename StoreT>
 class Evaluator {
  public:
-  Evaluator(const StoreT& store, const text::TextIndex& text_index,
+  Evaluator(const store::TripleStore& store, const text::TextIndex& text_index,
             const EvalOptions& options)
       : store_(store), text_index_(text_index), options_(options),
         profile_(CurrentEvalProfile()) {
@@ -234,10 +227,9 @@ class Evaluator {
   }
 
   // Term lookup that also resolves overlay ids (pre-condition: id is a
-  // store id or was returned by InternValue; not kNullTermId).  Returned
-  // by value: a compact store's front-coded dictionary decodes terms on
-  // demand, so there is no stored Term to reference.
-  Term TermOf(TermId id) const {
+  // store id or was returned by InternValue; not kNullTermId).  The
+  // reference is invalidated by the next InternValue.
+  const Term& TermOf(TermId id) const {
     TermId max_store = store_.dictionary().MaxId();
     if (id <= max_store) return store_.dictionary().Get(id);
     return overlay_terms_[id - max_store - 1];
@@ -761,7 +753,7 @@ class Evaluator {
     }
   }
 
-  const StoreT& store_;
+  const store::TripleStore& store_;
   const text::TextIndex& text_index_;
   const EvalOptions& options_;
   SlotMap slots_;
@@ -777,13 +769,12 @@ class Evaluator {
   bool analyze_ = false;
 };
 
-// One evaluation, generic over the backend.  Both public overloads land
-// here; the registry counters resolve to the same entries either way, so
-// both stores share one metric namespace.
-template <typename StoreT>
-StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
-                                 const text::TextIndex& text_index,
-                                 const EvalOptions& options) {
+}  // namespace
+
+StatusOr<ResultSet> Evaluate(const Query& query,
+                             const store::TripleStore& store,
+                             const text::TextIndex& text_index,
+                             const EvalOptions& options) {
   // Registry instrumentation: evaluation volume and result-set sizes
   // (bucket bounds are row counts, not latencies).
   static obs::Counter& evaluations =
@@ -793,7 +784,7 @@ StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
           "sparql.evaluator.result_rows",
           {0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
   evaluations.Add(1);
-  Evaluator<StoreT> evaluator(store, text_index, options);
+  Evaluator evaluator(store, text_index, options);
   StatusOr<ResultSet> result = evaluator.Run(query);
   if (result.ok() && !result->is_ask()) {
     result_rows.Record(double(result->NumRows()));
@@ -812,22 +803,6 @@ StatusOr<ResultSet> EvaluateImpl(const Query& query, const StoreT& store,
     }
   }
   return result;
-}
-
-}  // namespace
-
-StatusOr<ResultSet> Evaluate(const Query& query,
-                             const store::TripleStore& store,
-                             const text::TextIndex& text_index,
-                             const EvalOptions& options) {
-  return EvaluateImpl(query, store, text_index, options);
-}
-
-StatusOr<ResultSet> Evaluate(const Query& query,
-                             const store::CompactStore& store,
-                             const text::TextIndex& text_index,
-                             const EvalOptions& options) {
-  return EvaluateImpl(query, store, text_index, options);
 }
 
 }  // namespace kgqan::sparql

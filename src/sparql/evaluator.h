@@ -26,10 +26,6 @@
 #include "text/text_index.h"
 #include "util/status.h"
 
-namespace kgqan::store {
-class CompactStore;
-}  // namespace kgqan::store
-
 namespace kgqan::sparql {
 
 struct EvalOptions {
@@ -92,15 +88,6 @@ EvalProfile* CurrentEvalProfile();
 // Evaluates `query` against `store` / `text_index`.
 util::StatusOr<ResultSet> Evaluate(const Query& query,
                                    const store::TripleStore& store,
-                                   const text::TextIndex& text_index,
-                                   const EvalOptions& options = {});
-
-// Compact-store overload (store v2): same evaluator and planner on the
-// compressed CSR backend.  CompactScanRange sizes count exactly the
-// matching triples, so plans — and therefore result bytes — are identical
-// to the v1 store on the same graph.
-util::StatusOr<ResultSet> Evaluate(const Query& query,
-                                   const store::CompactStore& store,
                                    const text::TextIndex& text_index,
                                    const EvalOptions& options = {});
 

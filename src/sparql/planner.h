@@ -9,9 +9,9 @@
 // for components whose variable is bound by earlier steps).
 //
 // The plan is a pure function of the store and the bound-slot set, so join
-// order — and therefore result order — is identical on both stores for the
-// same graph.  Ties are broken by pattern position, keeping plans
-// deterministic when cardinalities collide.
+// order — and therefore result order — is deterministic for a given graph.
+// Ties are broken by pattern position, keeping plans deterministic when
+// cardinalities collide.
 
 #ifndef KGQAN_SPARQL_PLANNER_H_
 #define KGQAN_SPARQL_PLANNER_H_
@@ -60,12 +60,10 @@ inline constexpr size_t kBoundDiscount = 64;
 // components index the store exactly (Locate range size via
 // EstimateMatches); components whose slot is bound are treated as constants
 // of unknown value, each dividing the estimate by a fixed fan-in heuristic.
-// A dead pattern estimates 0.  Generic over the store: the compact store's
-// range width counts exactly the matching triples, as v1's does, so both
-// stores produce identical plans by construction.
-template <typename StoreT>
-size_t EstimateTripleCost(const StoreT& store, const CompiledTriple& cp,
-                          const std::vector<bool>& bound) {
+// A dead pattern estimates 0.
+inline size_t EstimateTripleCost(const store::TripleStore& store,
+                                 const CompiledTriple& cp,
+                                 const std::vector<bool>& bound) {
   if (cp.dead) return 0;
   auto comp = [](uint64_t c) -> rdf::TermId {
     if (!CompiledTriple::IsSlot(c)) return static_cast<rdf::TermId>(c);
@@ -88,10 +86,9 @@ size_t EstimateTripleCost(const StoreT& store, const CompiledTriple& cp,
 // by the incoming solution rows (text patterns / VALUES); the planner
 // extends it internally as steps are chosen.  Deterministic: equal
 // estimates fall back to pattern order.
-template <typename StoreT>
-JoinPlan PlanJoins(const StoreT& store,
-                   const std::vector<CompiledTriple>& patterns,
-                   std::vector<bool> bound) {
+inline JoinPlan PlanJoins(const store::TripleStore& store,
+                          const std::vector<CompiledTriple>& patterns,
+                          std::vector<bool> bound) {
   JoinPlan plan;
   plan.steps.reserve(patterns.size());
   std::vector<bool> used(patterns.size(), false);

@@ -4,29 +4,17 @@
 #include <iterator>
 #include <tuple>
 
-#include "util/thread_pool.h"
-
 namespace kgqan::store {
 
-TripleStore::TripleStore(rdf::Graph graph, size_t build_threads)
-    : graph_(std::move(graph)) {
+TripleStore::TripleStore(rdf::Graph graph) : graph_(std::move(graph)) {
   std::vector<Triple> base(graph_.triples().begin(), graph_.triples().end());
   std::sort(base.begin(), base.end());
   base.erase(std::unique(base.begin(), base.end()), base.end());
   indexes_[0] = std::move(base);  // SPO is the canonical sort order.
-  auto build_one = [this](size_t i) {
+  for (size_t i = 1; i < 6; ++i) {
     indexes_[i] = indexes_[0];
     std::sort(indexes_[i].begin(), indexes_[i].end(),
               PermLess{static_cast<Perm>(i)});
-  };
-  if (build_threads > 1) {
-    // The five non-canonical permutation sorts are independent: copy and
-    // sort each on a transient pool (at most five tasks; the constructing
-    // thread participates via ParallelFor).
-    util::ThreadPool pool(std::min<size_t>(build_threads, 5) - 1);
-    util::ParallelFor(&pool, 5, [&](size_t i) { build_one(i + 1); });
-  } else {
-    for (size_t i = 1; i < 6; ++i) build_one(i);
   }
 }
 

@@ -31,8 +31,7 @@ enum class Perm : uint8_t { kSpo = 0, kSop, kPso, kPos, kOsp, kOps };
 // Key extractor per permutation: the (k1, k2, k3) sort key of a triple in
 // that index.  Keys are unique within one triple set (a permutation key
 // permutes all three components of a distinct triple), so every index
-// order is total — the property the compact store's base/overlay merge
-// relies on.
+// order is total.
 inline std::tuple<TermId, TermId, TermId> PermKey(Perm perm, const Triple& t) {
   switch (perm) {
     case Perm::kSpo:
@@ -49,25 +48,6 @@ inline std::tuple<TermId, TermId, TermId> PermKey(Perm perm, const Triple& t) {
       return {t.o, t.p, t.s};
   }
   return {0, 0, 0};
-}
-
-// Inverse of PermKey: the triple whose PermKey under `perm` is (k1, k2, k3).
-inline Triple TripleFromPermKey(Perm perm, TermId k1, TermId k2, TermId k3) {
-  switch (perm) {
-    case Perm::kSpo:
-      return {k1, k2, k3};
-    case Perm::kSop:
-      return {k1, k3, k2};
-    case Perm::kPso:
-      return {k2, k1, k3};
-    case Perm::kPos:
-      return {k3, k1, k2};
-    case Perm::kOsp:
-      return {k2, k3, k1};
-    case Perm::kOps:
-      return {k3, k2, k1};
-  }
-  return {};
 }
 
 struct PermLess {
@@ -92,15 +72,8 @@ struct ScanRange {
 
 class TripleStore {
  public:
-  // The scan-range type evaluation code should name (CompactStore exposes
-  // its own Range; the evaluator is generic over both).
-  using Range = ScanRange;
-
   // Takes ownership of `graph`; duplicates are removed while indexing.
-  // `build_threads` > 1 sorts the six permutation indexes in parallel on a
-  // transient pool (identical indexes, faster load for big KGs); 1 is the
-  // unchanged serial build.
-  explicit TripleStore(rdf::Graph graph, size_t build_threads = 1);
+  explicit TripleStore(rdf::Graph graph);
 
   TripleStore(const TripleStore&) = delete;
   TripleStore& operator=(const TripleStore&) = delete;

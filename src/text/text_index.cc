@@ -63,20 +63,29 @@ StatusOr<ContainsQuery> ParseContainsQuery(std::string_view expr) {
   return out;
 }
 
-void TextIndex::IndexLiteral(const rdf::Term& term, rdf::TermId id) {
-  if (!term.IsLiteral()) return;
-  // Index plain/xsd:string and language-tagged literals only.
-  if (!term.IsStringLiteral() && term.lang.empty()) return;
-  std::vector<std::string> toks = Tokenize(term.value);
-  std::sort(toks.begin(), toks.end());
-  toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
-  for (std::string& tok : toks) {
-    postings_[std::move(tok)].push_back(id);
-    ++posting_count_;
+TextIndex::TextIndex(const store::TripleStore& store) {
+  std::vector<rdf::TermId> literal_ids;
+  store.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
+              [&](const rdf::Triple& t) {
+                literal_ids.push_back(t.o);
+                return true;
+              });
+  std::sort(literal_ids.begin(), literal_ids.end());
+  literal_ids.erase(std::unique(literal_ids.begin(), literal_ids.end()),
+                    literal_ids.end());
+  for (rdf::TermId id : literal_ids) {
+    const rdf::Term& term = store.dictionary().Get(id);
+    if (!term.IsLiteral()) continue;
+    // Index plain/xsd:string and language-tagged literals only.
+    if (!term.IsStringLiteral() && term.lang.empty()) continue;
+    std::vector<std::string> toks = Tokenize(term.value);
+    std::sort(toks.begin(), toks.end());
+    toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
+    for (std::string& tok : toks) {
+      postings_[std::move(tok)].push_back(id);
+      ++posting_count_;
+    }
   }
-}
-
-void TextIndex::SortPostings() {
   // Postings were appended in ascending literal id order already, but sort
   // defensively (cheap, once).
   for (auto& [tok, ids] : postings_) {

@@ -8,7 +8,6 @@
 #ifndef KGQAN_TEXT_TEXT_INDEX_H_
 #define KGQAN_TEXT_TEXT_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -35,28 +34,8 @@ util::StatusOr<ContainsQuery> ParseContainsQuery(std::string_view expr);
 class TextIndex {
  public:
   // Indexes every string literal that occurs as the object of some triple
-  // in `store` (any store backend exposing Match + dictionary(): v1
-  // TripleStore or CompactStore).  The store must outlive the index.
-  // `dict.Get` may return by reference (v1) or by value (front-coded);
-  // the const-reference binding extends a temporary's lifetime either way.
-  template <typename StoreT>
-  explicit TextIndex(const StoreT& store) {
-    std::vector<rdf::TermId> literal_ids;
-    store.Match(rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId,
-                [&](const rdf::Triple& t) {
-                  literal_ids.push_back(t.o);
-                  return true;
-                });
-    std::sort(literal_ids.begin(), literal_ids.end());
-    literal_ids.erase(std::unique(literal_ids.begin(), literal_ids.end()),
-                      literal_ids.end());
-    const auto& dict = store.dictionary();
-    for (rdf::TermId id : literal_ids) {
-      const rdf::Term& term = dict.Get(id);
-      IndexLiteral(term, id);
-    }
-    SortPostings();
-  }
+  // in `store`.  The store must outlive the index.
+  explicit TextIndex(const store::TripleStore& store);
 
   TextIndex(const TextIndex&) = delete;
   TextIndex& operator=(const TextIndex&) = delete;
@@ -75,11 +54,6 @@ class TextIndex {
   size_t ApproxIndexBytes() const;
 
  private:
-  // Adds `term`'s tokens to the postings iff it is an indexable literal.
-  void IndexLiteral(const rdf::Term& term, rdf::TermId id);
-  // Sorts every posting list (construction postlude).
-  void SortPostings();
-
   // token -> sorted unique literal term ids.
   std::unordered_map<std::string, std::vector<rdf::TermId>> postings_;
   size_t posting_count_ = 0;

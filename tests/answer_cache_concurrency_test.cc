@@ -128,7 +128,7 @@ TEST(AnswerCacheConcurrencyTest, RacingEndpointUpdatesNeverServeStale) {
   constexpr size_t kAsksPerReader = 12;
   const std::string question = "Who is the spouse of Barack Obama?";
 
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   KgqanEngine cached(CachedConfig());
 
   // The IRIs a spouse answer may legitimately contain, in commit order.

@@ -158,7 +158,7 @@ TEST(AnswerCacheUnitTest, ShardCountIsRespected) {
 }
 
 TEST(AnswerCacheEngineTest, RepeatedQuestionHitsAndAnswersAreIdentical) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   KgqanEngine cached(CachedConfig());
   KgqanEngine uncached(UncachedConfig());
   ASSERT_NE(cached.answer_cache(), nullptr);
@@ -184,7 +184,7 @@ TEST(AnswerCacheEngineTest, RepeatedQuestionHitsAndAnswersAreIdentical) {
 }
 
 TEST(AnswerCacheEngineTest, BooleanQuestionsCacheToo) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   KgqanEngine cached(CachedConfig());
   KgqanEngine uncached(UncachedConfig());
   const std::string q = "Is Paris the capital of France?";
@@ -202,7 +202,7 @@ TEST(AnswerCacheEngineTest, BooleanQuestionsCacheToo) {
 // a miss that recomputes against the live data, and its answers equal a
 // never-cached engine's.
 TEST(AnswerCacheEngineTest, GenerationBumpInvalidatesPriorEntries) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   KgqanEngine cached(CachedConfig());
   KgqanEngine uncached(UncachedConfig());
   const std::string q = "Who is the spouse of Barack Obama?";
@@ -237,7 +237,7 @@ TEST(AnswerCacheEngineTest, GenerationBumpInvalidatesPriorEntries) {
 }
 
 TEST(AnswerCacheEngineTest, SharedCacheHitsAcrossEngines) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   auto shared = std::make_shared<AnswerCache>(64, 4);
   KgqanEngine first(CachedConfig(), shared);
   KgqanEngine second(CachedConfig(), shared);
@@ -253,7 +253,7 @@ TEST(AnswerCacheEngineTest, SharedCacheHitsAcrossEngines) {
 }
 
 TEST(AnswerCacheEngineTest, ServerStatsAggregateDistinctCachesOnce) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   auto shared = std::make_shared<AnswerCache>(64, 4);
   KgqanEngine first(CachedConfig(), shared);
   KgqanEngine second(CachedConfig(), shared);

@@ -121,7 +121,7 @@ TEST(RuleQuTest, EdgqaRulesHandleTemplates) {
 // ---- Index structures ----
 
 TEST(UriTokenIndexTest, LooksUpReadableUris) {
-  sparql::LocalEndpoint ep("readable", ReadableKg());
+  sparql::Endpoint ep("readable", ReadableKg());
   UriTokenIndex index;
   index.Build(ep);
   auto hits = index.Lookup("Barack Obama", 3);
@@ -132,7 +132,7 @@ TEST(UriTokenIndexTest, LooksUpReadableUris) {
 }
 
 TEST(UriTokenIndexTest, UselessOnOpaqueUris) {
-  sparql::LocalEndpoint ep("opaque", OpaqueKg());
+  sparql::Endpoint ep("opaque", OpaqueKg());
   UriTokenIndex index;
   index.Build(ep);
   // The entity exists, but its URI carries no text.
@@ -140,7 +140,7 @@ TEST(UriTokenIndexTest, UselessOnOpaqueUris) {
 }
 
 TEST(LabelEnsembleIndexTest, RequiresTheRightLabelPredicate) {
-  sparql::LocalEndpoint ep("opaque", OpaqueKg());
+  sparql::Endpoint ep("opaque", OpaqueKg());
   LabelEnsembleIndex default_index;
   default_index.Build(ep, {"http://www.w3.org/2000/01/rdf-schema#label"});
   EXPECT_TRUE(default_index.Lookup("Jim Gray", 3).empty());
@@ -156,7 +156,7 @@ TEST(LabelEnsembleIndexTest, ExactBeatsTokenMatch) {
   Graph g;
   g.AddIri("http://x/A", kLabel, StringLiteral("Kaliningrad"));
   g.AddIri("http://x/B", kLabel, StringLiteral("Yantar Kaliningrad"));
-  sparql::LocalEndpoint ep("rank", std::move(g));
+  sparql::Endpoint ep("rank", std::move(g));
   LabelEnsembleIndex index;
   index.Build(ep, {kLabel});
   auto hits = index.Lookup("Kaliningrad", 5);
@@ -167,7 +167,7 @@ TEST(LabelEnsembleIndexTest, ExactBeatsTokenMatch) {
 // ---- End-to-end baseline behaviour ----
 
 TEST(GAnswerLikeTest, AnswersSimpleQuestionAfterPreprocessing) {
-  sparql::LocalEndpoint ep("readable", ReadableKg());
+  sparql::Endpoint ep("readable", ReadableKg());
   GAnswerLike sys;
   auto stats = sys.Preprocess(ep);
   EXPECT_GT(stats.index_bytes, 0u);
@@ -184,7 +184,7 @@ TEST(GAnswerLikeTest, SynonymDictionaryCoversWife) {
 }
 
 TEST(GAnswerLikeTest, FailsOnOpaqueKg) {
-  sparql::LocalEndpoint ep("opaque", OpaqueKg());
+  sparql::Endpoint ep("opaque", OpaqueKg());
   GAnswerLike sys;
   sys.Preprocess(ep);
   auto resp = sys.Answer("Who is the spouse of Jim Gray?", ep);
@@ -192,7 +192,7 @@ TEST(GAnswerLikeTest, FailsOnOpaqueKg) {
 }
 
 TEST(EdgqaLikeTest, AnswersWithDefaultLabelIndex) {
-  sparql::LocalEndpoint ep("readable", ReadableKg());
+  sparql::Endpoint ep("readable", ReadableKg());
   EdgqaLike sys;
   sys.Preprocess(ep);
   auto resp = sys.Answer("Who is the spouse of Barack Obama?", ep);
@@ -202,7 +202,7 @@ TEST(EdgqaLikeTest, AnswersWithDefaultLabelIndex) {
 }
 
 TEST(EdgqaLikeTest, NeedsConfigurationForOpaqueKgs) {
-  sparql::LocalEndpoint ep("opaque", OpaqueKg());
+  sparql::Endpoint ep("opaque", OpaqueKg());
   EdgqaLike sys;
   sys.Preprocess(ep);  // Default rdfs:label: indexes nothing.
   auto resp =
@@ -219,7 +219,7 @@ TEST(EdgqaLikeTest, NeedsConfigurationForOpaqueKgs) {
 }
 
 TEST(EdgqaLikeTest, BooleanQuestions) {
-  sparql::LocalEndpoint ep("readable", ReadableKg());
+  sparql::Endpoint ep("readable", ReadableKg());
   EdgqaLike sys;
   sys.Preprocess(ep);
   auto yes = sys.Answer("Is Berlin the capital of Germany?", ep);

@@ -118,7 +118,7 @@ Traffic LinkAndMeasure(const JitLinker& linker, const qu::Pgp& pgp,
 }
 
 TEST(BatchedLinkingTest, TinyKgExactTraffic) {
-  sparql::LocalEndpoint endpoint("tiny", TinyKg());
+  sparql::Endpoint endpoint("tiny", TinyKg());
   KgqanConfig serial_cfg;
   serial_cfg.linking_cache_capacity = 0;
   embed::SemanticAffinity affinity(serial_cfg.affinity_mode);
@@ -165,7 +165,7 @@ TEST(BatchedLinkingTest, CacheStatesColdPartialWarm) {
   // Same question sequence against two independent caches: A (cold),
   // friends (partially warm: Alice cached, Bob not), A again (fully warm).
   // Every stage must produce identical AGPs on both paths.
-  sparql::LocalEndpoint endpoint("tiny", TinyKg());
+  sparql::Endpoint endpoint("tiny", TinyKg());
   KgqanConfig serial_cfg;
   embed::SemanticAffinity affinity(serial_cfg.affinity_mode);
   LinkingCache serial_cache(serial_cfg.linking_cache_capacity);

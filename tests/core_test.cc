@@ -90,7 +90,7 @@ class CoreTest : public ::testing::Test {
  protected:
   CoreTest() : endpoint_("mini-dbpedia", MiniDbpedia()), engine_(FastConfig()) {}
 
-  sparql::LocalEndpoint endpoint_;
+  sparql::Endpoint endpoint_;
   KgqanEngine engine_;
 };
 
@@ -379,7 +379,7 @@ TEST(MultiIntentionTest, NonMultiIntentionYieldsEmpty) {
   core::MultiIntentionAnswerer answerer(&engine);
   rdf::Graph g;
   g.AddIris("http://x/a", "http://x/p", "http://x/b");
-  sparql::LocalEndpoint ep("tiny", std::move(g));
+  sparql::Endpoint ep("tiny", std::move(g));
   EXPECT_TRUE(answerer.Answer("Who founded Microsoft?", ep).empty());
 }
 

@@ -59,7 +59,7 @@ std::vector<std::string> AnswersOf(const core::KgqanResult& result) {
 // hundreds of ms; with a ~1 ms deadline the pipeline must bail at its
 // first cancellation poll rather than running to completion.
 TEST(DeadlineTest, NearZeroDeadlineFailsPromptly) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   endpoint.set_injected_latency_ms(50.0);
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;
@@ -88,14 +88,14 @@ TEST(DeadlineTest, GenerousDeadlineIsByteIdentical) {
       "What is the capital of France?",
   };
 
-  sparql::LocalEndpoint endpoint_a("mini", MiniKg());
+  sparql::Endpoint endpoint_a("mini", MiniKg());
   core::KgqanEngine plain_engine(ServingConfig());
   std::vector<core::KgqanResult> reference;
   for (const std::string& q : kQuestions) {
     reference.push_back(plain_engine.AnswerFull(q, endpoint_a));
   }
 
-  sparql::LocalEndpoint endpoint_b("mini", MiniKg());
+  sparql::Endpoint endpoint_b("mini", MiniKg());
   core::KgqanEngine served_engine(ServingConfig());
   QaServerOptions options;
   options.num_workers = 1;
@@ -122,7 +122,7 @@ TEST(DeadlineTest, GenerousDeadlineIsByteIdentical) {
 // results from an expired request are worthless and must not be served to
 // later requests as if they were complete.
 TEST(DeadlineTest, CancelledWaveDoesNotPoisonLinkingCache) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   endpoint.set_injected_latency_ms(50.0);
   core::KgqanEngine engine(ServingConfig());
   {
@@ -169,7 +169,7 @@ TEST(DeadlineTest, SerialEvaluationCancelsMidScan) {
       }
     }
   }
-  sparql::LocalEndpoint endpoint("dense", std::move(g));
+  sparql::Endpoint endpoint("dense", std::move(g));
 
   // Timing-dependent: the deadline must expire after admission but before
   // evaluation finishes.  Longer chains take longer, so retry with doubled
@@ -204,7 +204,7 @@ TEST(DeadlineTest, SerialEvaluationCancelsMidScan) {
 // The injection point itself: an expired token makes the endpoint fail
 // fast without counting traffic, and abandon an in-flight injected sleep.
 TEST(DeadlineTest, EndpointFailsFastWhenTokenExpired) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   const std::string query =
       "SELECT ?o WHERE { <http://dbpedia.org/resource/France> "
       "<http://dbpedia.org/ontology/capital> ?o }";

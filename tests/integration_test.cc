@@ -86,7 +86,7 @@ TEST(IntegrationTest, CrypticPredicatesResolveViaDescriptionFetch) {
   benchgen::BuiltKg kg = benchgen::BuildWikidataStyleKg(1.0, 21);
   const benchgen::Fact spouse_fact = kg.facts.at("spouse").front();
   const benchgen::Fact capital_fact = kg.facts.at("capital").front();
-  sparql::LocalEndpoint endpoint("wikidata-style", std::move(kg.graph));
+  sparql::Endpoint endpoint("wikidata-style", std::move(kg.graph));
 
   core::KgqanEngine engine(FastConfig());
   auto r1 = engine.Answer(

@@ -151,7 +151,7 @@ TEST(IntrospectionConcurrencyTest, FlightRecorderDumpRacesRecording) {
 // threads hammering HandleAdmin (metrics text, stats JSON, slow dump),
 // and the sampled-tracing + flight-recording paths all active at once.
 TEST(IntrospectionConcurrencyTest, ScrapeUnderQueryStorm) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanConfig cfg;
   cfg.num_threads = 1;
   cfg.qu.inference.enabled = false;

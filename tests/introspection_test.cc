@@ -491,7 +491,7 @@ TEST(FlightRecorderTest, ChromeJsonlIsValidAndCarriesMetadata) {
 // EXPLAIN ANALYZE.
 
 TEST(ExplainAnalyzeTest, OperatorStatsCollectedWhenEnabled) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanConfig cfg = ServingConfig();
   cfg.explain_analyze = true;
   core::KgqanEngine engine(cfg);
@@ -511,7 +511,7 @@ TEST(ExplainAnalyzeTest, OperatorStatsCollectedWhenEnabled) {
 }
 
 TEST(ExplainAnalyzeTest, OffByDefaultCollectsNothing) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   core::KgqanResult result =
       engine.AnswerFull("Who is the spouse of Barack Obama?", endpoint);
@@ -522,7 +522,7 @@ TEST(ExplainAnalyzeTest, OffByDefaultCollectsNothing) {
 }
 
 TEST(ExplainAnalyzeTest, SampledTraceCollectsOperatorsAndTraceId) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   obs::Trace trace(obs::Trace::Mode::kFull);
   core::KgqanResult result =
@@ -577,7 +577,7 @@ std::string HttpGet(int port, const std::string& path) {
 }
 
 TEST(AdminPlaneTest, EndpointsServeMetricsStatsAndSlow) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   QaServer server(&engine, &endpoint, IntrospectionOptions());
   ASSERT_GT(server.admin_port(), 0);
@@ -629,7 +629,7 @@ TEST(AdminPlaneTest, EndpointsServeMetricsStatsAndSlow) {
 }
 
 TEST(AdminPlaneTest, StatsCountersTrackSamplingAndRecording) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options = IntrospectionOptions();
   options.trace_sample_every = 2;  // Sample half.
@@ -674,7 +674,7 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
   // pipeline reaches BGP generation at ~round_trips * L.
   size_t round_trips = 0;
   {
-    sparql::LocalEndpoint endpoint("mini", MiniKg());
+    sparql::Endpoint endpoint("mini", MiniKg());
     core::KgqanEngine engine(ServingConfig());
     core::KgqanResult result = engine.AnswerFull(question, endpoint);
     ASSERT_TRUE(result.response.understood);
@@ -688,7 +688,7 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
     // Walk the expiry point across the first candidate executions.
     double deadline_ms = static_cast<double>(round_trips) * kLatencyMs +
                          kLatencyMs * (0.5 + attempt);
-    sparql::LocalEndpoint endpoint("mini", MiniKg());
+    sparql::Endpoint endpoint("mini", MiniKg());
     endpoint.set_injected_latency_ms(kLatencyMs);
     core::KgqanEngine engine(ServingConfig());
     QaServer server(&engine, &endpoint, IntrospectionOptions());

@@ -83,7 +83,7 @@ TEST(RobustnessTest, ContainsQueryParserNeverCrashes) {
 TEST(RobustnessTest, EndpointRejectsGarbageGracefully) {
   rdf::Graph g;
   g.AddIris("http://x/a", "http://x/p", "http://x/b");
-  sparql::LocalEndpoint ep("robust", std::move(g));
+  sparql::Endpoint ep("robust", std::move(g));
   for (const std::string& s : GarbageStrings(5, 200)) {
     auto result = ep.Query(s);
     if (result.ok()) {
@@ -98,7 +98,7 @@ TEST(RobustnessTest, EngineAnswersGarbageWithoutCrashing) {
   g.AddIri("http://x/a", "http://www.w3.org/2000/01/rdf-schema#label",
            rdf::StringLiteral("Alpha Beta"));
   g.AddIris("http://x/a", "http://x/p", "http://x/b");
-  sparql::LocalEndpoint ep("robust", std::move(g));
+  sparql::Endpoint ep("robust", std::move(g));
   core::KgqanConfig cfg;
   cfg.qu.inference.enabled = false;
   core::KgqanEngine engine(cfg);
@@ -134,7 +134,7 @@ rdf::Graph StressGraph() {
 }
 
 TEST(RobustnessTest, ConcurrentMixedQueriesAgainstOneEndpoint) {
-  sparql::LocalEndpoint ep("stress", StressGraph());
+  sparql::Endpoint ep("stress", StressGraph());
   constexpr size_t kThreads = 8;
   constexpr int kQueriesPerThread = 40;
   std::atomic<size_t> errors{0};
@@ -170,7 +170,7 @@ TEST(RobustnessTest, ConcurrentMixedQueriesAgainstOneEndpoint) {
 }
 
 TEST(RobustnessTest, ConcurrentQueriesDuringLiveUpdates) {
-  sparql::LocalEndpoint ep("stress-update", StressGraph());
+  sparql::Endpoint ep("stress-update", StressGraph());
   std::atomic<bool> stop{false};
   std::atomic<size_t> failures{0};
   std::vector<std::thread> readers;
@@ -214,7 +214,7 @@ TEST(RobustnessTest, ParallelEngineMatchesSerialAnswers) {
     g.AddIris("http://x/kaliningrad", "http://x/type", "http://x/City");
     g.AddIri("http://x/City", "http://www.w3.org/2000/01/rdf-schema#label",
              rdf::StringLiteral("city"));
-    return sparql::LocalEndpoint("par", std::move(g));
+    return sparql::Endpoint("par", std::move(g));
   };
   const char* questions[] = {
       "What is the nearest city to the Baltic Sea?",
@@ -234,8 +234,8 @@ TEST(RobustnessTest, ParallelEngineMatchesSerialAnswers) {
   ASSERT_EQ(parallel.effective_threads(), 8u);
 
   for (const char* q : questions) {
-    sparql::LocalEndpoint ep_a = build_endpoint();
-    sparql::LocalEndpoint ep_b = build_endpoint();
+    sparql::Endpoint ep_a = build_endpoint();
+    sparql::Endpoint ep_b = build_endpoint();
     core::QaResponse a = serial.Answer(q, ep_a);
     core::QaResponse b = parallel.Answer(q, ep_b);
     EXPECT_EQ(a.understood, b.understood);
@@ -247,7 +247,7 @@ TEST(RobustnessTest, ParallelEngineMatchesSerialAnswers) {
   }
   // Second pass on the parallel engine: answers must be stable under
   // cache hits, and the cache must have seen traffic.
-  sparql::LocalEndpoint ep = build_endpoint();
+  sparql::Endpoint ep = build_endpoint();
   core::QaResponse first = parallel.Answer(questions[0], ep);
   core::RuntimeCounters before = parallel.Counters();
   core::QaResponse second = parallel.Answer(questions[0], ep);
@@ -264,7 +264,7 @@ TEST(RobustnessTest, OneEngineSharedAcrossQuestionThreads) {
   cfg.qu.inference.enabled = false;
   cfg.num_threads = 2;
   core::KgqanEngine engine(cfg);
-  sparql::LocalEndpoint ep("shared", StressGraph());
+  sparql::Endpoint ep("shared", StressGraph());
   std::atomic<size_t> crashes{0};
   std::vector<std::thread> askers;
   for (int t = 0; t < 4; ++t) {

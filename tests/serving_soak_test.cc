@@ -55,7 +55,7 @@ core::KgqanConfig ServingConfig() {
 // proves each future resolved to *its* request (no cross-wiring).
 TEST(ServingSoakTest, ManyClientsExactAccountingNoLossNoDuplication) {
   obs::MetricsRegistry::Global().Reset();
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;
   options.num_workers = 4;
@@ -134,7 +134,7 @@ TEST(ServingSoakTest, ManyClientsExactAccountingNoLossNoDuplication) {
 // submission must resolve exactly one way (future ready, Overloaded, or
 // Unavailable) with no hangs and no lost requests.
 TEST(ServingSoakTest, DrainRacesWithSubmitters) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   endpoint.set_injected_latency_ms(1.0);
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;

@@ -110,7 +110,7 @@ TEST(ServingTest, ResponsesIdenticalToDirectAnswerFull) {
 // submissions must hit the capacity wall and be rejected immediately with
 // Overloaded, while every admitted request still completes.
 TEST(ServingTest, FullQueueRejectsWithOverloaded) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   endpoint.set_injected_latency_ms(150.0);
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;
@@ -154,7 +154,7 @@ TEST(ServingTest, FullQueueRejectsWithOverloaded) {
 // Drain completes in-flight work and subsequently rejects with
 // Unavailable (not Overloaded: the server is going away, not busy).
 TEST(ServingTest, DrainCompletesInFlightThenRejectsUnavailable) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   endpoint.set_injected_latency_ms(20.0);
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;
@@ -186,7 +186,7 @@ TEST(ServingTest, DrainCompletesInFlightThenRejectsUnavailable) {
 }
 
 TEST(ServingTest, ShutdownIsIdempotent) {
-  sparql::LocalEndpoint endpoint("mini", MiniKg());
+  sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());
   QaServerOptions options;
   options.num_workers = 2;

@@ -40,7 +40,7 @@ class ExtensionsTest : public ::testing::Test {
     return g;
   }
 
-  sparql::LocalEndpoint endpoint_;
+  sparql::Endpoint endpoint_;
 };
 
 // ---- ORDER BY / OFFSET ----

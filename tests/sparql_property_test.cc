@@ -58,7 +58,7 @@ TEST(SparqlReferenceTest, ChainJoinWithOptionalMatchesBruteForce) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
     util::Rng rng(seed);
     MiniKg kg = RandomKg(rng);
-    LocalEndpoint ep("prop", kg.ToGraph());
+    Endpoint ep("prop", kg.ToGraph());
 
     // Brute force: tuples (x, y, z, w?) with w = -1 when unbound.
     std::set<std::array<int, 4>> expected;
@@ -103,7 +103,7 @@ TEST(SparqlReferenceTest, UnionWithFilterMatchesBruteForce) {
   for (uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
     util::Rng rng(seed);
     MiniKg kg = RandomKg(rng);
-    LocalEndpoint ep("prop", kg.ToGraph());
+    Endpoint ep("prop", kg.ToGraph());
 
     std::set<std::array<int, 2>> expected;
     for (const auto& t : kg.triples) {
@@ -136,7 +136,7 @@ TEST(SparqlReferenceTest, CountDistinctMatchesBruteForce) {
   for (uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
     util::Rng rng(seed);
     MiniKg kg = RandomKg(rng);
-    LocalEndpoint ep("prop", kg.ToGraph());
+    Endpoint ep("prop", kg.ToGraph());
 
     std::set<int> expected_subjects;
     for (const auto& t1 : kg.triples) {
@@ -162,7 +162,7 @@ TEST(SparqlReferenceTest, CountDistinctMatchesBruteForce) {
 TEST(SparqlReferenceTest, OrderByWindowsTileTheFullResult) {
   util::Rng rng(31);
   MiniKg kg = RandomKg(rng);
-  LocalEndpoint ep("prop", kg.ToGraph());
+  Endpoint ep("prop", kg.ToGraph());
   std::string p0 = MiniKg::P(0);
 
   auto all = ep.Query("SELECT ?x ?y WHERE { ?x <" + p0 +
@@ -193,7 +193,7 @@ TEST(SparqlReferenceTest, AskAgreesWithSelect) {
   for (uint64_t seed : {41u, 42u, 43u, 44u}) {
     util::Rng rng(seed);
     MiniKg kg = RandomKg(rng);
-    LocalEndpoint ep("prop", kg.ToGraph());
+    Endpoint ep("prop", kg.ToGraph());
     for (int p = 0; p < kg.num_predicates; ++p) {
       for (int probe = 0; probe < 6; ++probe) {
         int e = static_cast<int>(rng.UniformInt(0, kg.num_entities - 1));

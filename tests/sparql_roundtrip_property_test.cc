@@ -297,7 +297,7 @@ TEST(SparqlRoundTripPropertyTest, SerializeReparseEvaluate) {
   for (int round = 0; round < kKgRounds; ++round) {
     uint64_t round_seed = master.Next();
     Generator gen(round_seed);
-    LocalEndpoint ep("roundtrip", gen.MakeGraph());
+    Endpoint ep("roundtrip", gen.MakeGraph());
     for (int c = 0; c < kCasesPerKg; ++c) {
       Query query = gen.RandQuery();
       std::string text = ToSparql(query);

@@ -196,7 +196,7 @@ class EvalTest : public ::testing::Test {
     return g;
   }
 
-  sparql::LocalEndpoint endpoint_;
+  sparql::Endpoint endpoint_;
 };
 
 TEST_F(EvalTest, SingleTripleLookup) {
@@ -386,7 +386,7 @@ TEST_P(SparqlJoinPropertyTest, JoinAgreesWithNaiveEvaluation) {
               "http://x/p" + std::to_string(p),
               "http://x/e" + std::to_string(o));
   }
-  LocalEndpoint ep("prop", std::move(g));
+  Endpoint ep("prop", std::move(g));
   // Count pairs (a, c) with a -p0-> b -p1-> c via naive scan.
   std::set<std::pair<int, int>> expected;
   for (const auto& [s1, p1, o1] : edges) {

@@ -1,13 +1,17 @@
-// Unit and property tests for the hexastore-style TripleStore.
+// Unit and property tests for the hexastore-style TripleStore and the store
+// gauges its endpoint publishes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <iterator>
 #include <set>
 #include <tuple>
 
+#include "obs/metrics.h"
 #include "rdf/graph.h"
+#include "sparql/endpoint.h"
 #include "store/triple_store.h"
 #include "util/rng.h"
 
@@ -130,32 +134,6 @@ TEST(TripleStoreTest, LocateAndMatchRangeCoverExactly) {
   EXPECT_EQ(serial, ranged);
 }
 
-TEST(TripleStoreTest, ParallelBuildEqualsSerialBuild) {
-  auto make_graph = [] {
-    Graph g;
-    for (int i = 0; i < 400; ++i) {
-      g.AddIris("http://x/s" + std::to_string(i % 31),
-                "http://x/p" + std::to_string(i % 7),
-                "http://x/o" + std::to_string(i % 53));
-    }
-    return g;
-  };
-  TripleStore serial(make_graph(), /*build_threads=*/1);
-  TripleStore parallel(make_graph(), /*build_threads=*/8);
-  ASSERT_EQ(serial.size(), parallel.size());
-  // Every permutation answers identically: compare full scans through each
-  // bound-component combination's preferred index.
-  for (int mask = 0; mask < 8; ++mask) {
-    for (const rdf::Triple& t : serial.MatchAll(
-             rdf::kNullTermId, rdf::kNullTermId, rdf::kNullTermId)) {
-      TermId s = (mask & 1) ? t.s : rdf::kNullTermId;
-      TermId p = (mask & 2) ? t.p : rdf::kNullTermId;
-      TermId o = (mask & 4) ? t.o : rdf::kNullTermId;
-      EXPECT_EQ(serial.MatchAll(s, p, o), parallel.MatchAll(s, p, o));
-    }
-  }
-}
-
 TEST(TripleStoreTest, IndexBytesScaleWithSize) {
   Graph small = SmallGraph();
   TripleStore s1(std::move(small));
@@ -238,29 +216,38 @@ TEST(TripleStoreTest, InsertEmptyAndDuplicateBatches) {
   EXPECT_EQ(store.size(), before + 1);
 }
 
+// The endpoint publishes its store's footprint on construction and
+// republishes it after an AddNTriples that changes the store.
+TEST(TripleStoreTest, EndpointPublishesStoreGauges) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto gauge = [&](const char* name) {
+    return registry.GetGauge(name).Value();
+  };
+  sparql::Endpoint endpoint("gauge-test", SmallGraph());
+  const int64_t index_bytes = gauge("store.index_bytes");
+  EXPECT_GT(index_bytes, 0);
+  EXPECT_GT(gauge("store.dict_bytes"), 0);
+
+  auto added = endpoint.AddNTriples(
+      "<http://x/gauge_s> <http://x/gauge_p> <http://x/gauge_o> .\n");
+  ASSERT_TRUE(added.ok()) << added.status();
+  ASSERT_EQ(*added, 1u);
+  EXPECT_GT(gauge("store.index_bytes"), index_bytes);
+}
+
 // ---- Property tests: every bound-component combination must agree with a
 // naive scan, across several random graphs. ----
 
 class TripleStorePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TripleStorePropertyTest, MatchesAgreeWithNaiveScan) {
-  util::Rng rng(GetParam());
-  Graph g;
-  const int kSubjects = 20, kPredicates = 6, kObjects = 25;
-  const int kTriples = 300;
-  for (int i = 0; i < kTriples; ++i) {
-    g.AddIris("http://x/s" + std::to_string(rng.UniformInt(0, kSubjects - 1)),
-              "http://x/p" + std::to_string(rng.UniformInt(0, kPredicates - 1)),
-              "http://x/o" + std::to_string(rng.UniformInt(0, kObjects - 1)));
-  }
-  // Snapshot triples (deduplicated) before the store consumes the graph.
-  std::set<rdf::Triple> expected_all(g.triples().begin(), g.triples().end());
-  TripleStore store(std::move(g));
-  ASSERT_EQ(store.size(), expected_all.size());
-
-  // Probe a sample of patterns for all 8 bound/unbound combinations.
-  std::vector<rdf::Triple> universe(expected_all.begin(), expected_all.end());
-  for (int probe = 0; probe < 50; ++probe) {
+// Probes `probes` random triples of `expected` (the store's full contents)
+// under all 8 bound/unbound combinations: MatchAll and CountMatches must
+// agree with a naive scan.
+void ExpectAgreesWithNaiveScan(const TripleStore& store,
+                               const std::set<rdf::Triple>& expected,
+                               util::Rng& rng, int probes) {
+  std::vector<rdf::Triple> universe(expected.begin(), expected.end());
+  for (int probe = 0; probe < probes; ++probe) {
     const rdf::Triple& t = universe[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(universe.size()) - 1))];
     for (int mask = 0; mask < 8; ++mask) {
@@ -280,6 +267,23 @@ TEST_P(TripleStorePropertyTest, MatchesAgreeWithNaiveScan) {
       EXPECT_EQ(store.CountMatches(s, p, o), naive.size()) << "mask=" << mask;
     }
   }
+}
+
+TEST_P(TripleStorePropertyTest, MatchesAgreeWithNaiveScan) {
+  util::Rng rng(GetParam());
+  Graph g;
+  const int kSubjects = 20, kPredicates = 6, kObjects = 25;
+  const int kTriples = 300;
+  for (int i = 0; i < kTriples; ++i) {
+    g.AddIris("http://x/s" + std::to_string(rng.UniformInt(0, kSubjects - 1)),
+              "http://x/p" + std::to_string(rng.UniformInt(0, kPredicates - 1)),
+              "http://x/o" + std::to_string(rng.UniformInt(0, kObjects - 1)));
+  }
+  // Snapshot triples (deduplicated) before the store consumes the graph.
+  std::set<rdf::Triple> expected_all(g.triples().begin(), g.triples().end());
+  TripleStore store(std::move(g));
+  ASSERT_EQ(store.size(), expected_all.size());
+  ExpectAgreesWithNaiveScan(store, expected_all, rng, 50);
 }
 
 TEST_P(TripleStorePropertyTest, PredicateListsAgreeWithNaiveScan) {
@@ -303,6 +307,48 @@ TEST_P(TripleStorePropertyTest, PredicateListsAgreeWithNaiveScan) {
     auto in = store.IncomingPredicates(v);
     EXPECT_EQ(std::set<TermId>(out.begin(), out.end()), out_naive);
     EXPECT_EQ(std::set<TermId>(in.begin(), in.end()), in_naive);
+  }
+}
+
+// Live inserts and pattern erases keep all six permutation indexes in
+// step: after each round every bound-component combination still agrees
+// with a naive scan of the expected triple set.
+TEST_P(TripleStorePropertyTest, InsertAndEraseKeepPermutationsInStep) {
+  util::Rng rng(GetParam() ^ 0x5EED);
+  auto iri = [&](const char* prefix, int n) {
+    return Iri("http://x/" + std::string(prefix) +
+               std::to_string(rng.UniformInt(0, n - 1)));
+  };
+  Graph g;
+  for (int i = 0; i < 150; ++i) {
+    Term s = iri("s", 12), p = iri("p", 4), o = iri("o", 15);
+    g.Add(s, p, o);
+  }
+  std::set<rdf::Triple> expected(g.triples().begin(), g.triples().end());
+  TripleStore store(std::move(g));
+  for (int round = 0; round < 6; ++round) {
+    std::vector<std::array<Term, 3>> batch;
+    for (int i = 0; i < 20; ++i) {
+      Term s = iri("s", 16), p = iri("p", 5), o = iri("o", 20);
+      batch.push_back({s, p, o});
+    }
+    store.Insert(batch);
+    for (const auto& [s, p, o] : batch) {
+      expected.insert(rdf::Triple{*store.dictionary().Find(s),
+                                  *store.dictionary().Find(p),
+                                  *store.dictionary().Find(o)});
+    }
+    // Erase the subject-predicate pair of one random triple.
+    const int64_t pick =
+        rng.UniformInt(0, static_cast<int64_t>(expected.size()) - 1);
+    const rdf::Triple victim = *std::next(expected.begin(), pick);
+    const size_t erased = std::erase_if(expected, [&](const rdf::Triple& t) {
+      return t.s == victim.s && t.p == victim.p;
+    });
+    EXPECT_EQ(store.Erase(victim.s, victim.p, rdf::kNullTermId), erased);
+    ASSERT_EQ(store.size(), expected.size());
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectAgreesWithNaiveScan(store, expected, rng, 30);
   }
 }
 
