@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (benchgen::BenchmarkId id : benchgen::AllBenchmarks()) {
     benchgen::Benchmark b = bench::BuildAnnounced(id, scale);
     std::printf("  index footprint: %.1f MiB "
-                "(six permutation indexes + term dictionary)\n",
+                "(five permutation indexes + term dictionary)\n",
                 static_cast<double>(b.endpoint->ApproxIndexBytes()) /
                     (1024.0 * 1024.0));
     core::KgqanEngine kgqan(bench::DefaultEngineConfig());

@@ -24,6 +24,9 @@ TermId TermDictionary::Intern(const Term& term) {
   if (it != ids_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   terms_.push_back(term);
+  // Hash-map nodes: key string + id + bucket overhead (rough but stable).
+  string_bytes_ += term.value.size() + term.datatype.size() +
+                   term.lang.size() + key.size() + sizeof(TermId) + 32;
   ids_.emplace(std::move(key), id);
   return id;
 }
@@ -40,19 +43,6 @@ std::optional<TermId> TermDictionary::Find(const Term& term) const {
 
 std::optional<TermId> TermDictionary::FindIri(std::string_view iri) const {
   return Find(Iri(std::string(iri)));
-}
-
-size_t TermDictionary::ApproxBytes() const {
-  size_t bytes = terms_.capacity() * sizeof(Term);
-  for (const Term& t : terms_) {
-    bytes += t.value.size() + t.datatype.size() + t.lang.size();
-  }
-  // Hash-map nodes: key string + id + bucket overhead (rough but stable).
-  for (const auto& [key, id] : ids_) {
-    (void)id;
-    bytes += key.size() + sizeof(TermId) + 32;
-  }
-  return bytes;
 }
 
 }  // namespace kgqan::rdf

@@ -46,8 +46,13 @@ class TermDictionary {
   // Number of interned terms (excluding the reserved null slot).
   size_t size() const { return terms_.size() - 1; }
 
-  // Approximate heap footprint in bytes (used by Table 2 index sizing).
-  size_t ApproxBytes() const;
+  // Approximate heap footprint in bytes (used by Table 2 index sizing):
+  // the term vector's capacity plus every term's strings and hash-map
+  // node.  O(1): the string and node bytes are a running total kept by
+  // Intern (terms are never removed).
+  size_t ApproxBytes() const {
+    return terms_.capacity() * sizeof(Term) + string_bytes_;
+  }
 
   // Ids run from 1 to size() inclusive.
   TermId MaxId() const { return static_cast<TermId>(terms_.size() - 1); }
@@ -57,6 +62,7 @@ class TermDictionary {
 
   std::vector<Term> terms_;                       // index = TermId
   std::unordered_map<std::string, TermId> ids_;   // EncodeKey(term) -> id
+  size_t string_bytes_ = 0;  // Term strings plus hash-map nodes so far.
 };
 
 }  // namespace kgqan::rdf

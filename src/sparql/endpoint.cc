@@ -28,7 +28,15 @@ void SetGauge(std::string_view name, size_t value) {
 }  // namespace
 
 Endpoint::Endpoint(std::string name, rdf::Graph graph)
-    : name_(std::move(name)), store_(std::move(graph)) {
+    : name_(std::move(name)),
+      store_([&] {
+        obs::ScopedSpan span("store.build");
+        return store::TripleStore(std::move(graph));
+      }()),
+      text_index_([&] {
+        obs::ScopedSpan span("text.build");
+        return text::TextIndex(store_);
+      }()) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_requests_ = &registry.GetCounter("endpoint.requests");
   metric_round_trips_ = &registry.GetCounter("endpoint.round_trips");
@@ -36,7 +44,6 @@ Endpoint::Endpoint(std::string name, rdf::Graph graph)
   metric_cancelled_ = &registry.GetCounter("endpoint.cancelled");
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
-  text_index_ = std::make_unique<text::TextIndex>(store_);
   PublishStoreGauges();
 }
 
@@ -106,7 +113,7 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
     // Shared lock: the store and text index are read-only during
     // evaluation; only AddNTriples mutates them (under the unique lock).
     std::shared_lock<std::shared_mutex> lock(data_mutex_);
-    result = Evaluate(*parsed, store_, *text_index_);
+    result = Evaluate(*parsed, store_, text_index_);
   }
   metric_query_latency_ms_->Record(span.watch().ElapsedMillis());
   if (result.ok()) {
@@ -131,6 +138,7 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
 }
 
 util::StatusOr<size_t> Endpoint::AddNTriples(std::string_view ntriples) {
+  obs::ScopedSpan span("endpoint.update");
   KGQAN_ASSIGN_OR_RETURN(rdf::Graph delta, rdf::ParseNTriples(ntriples));
   std::vector<std::array<rdf::Term, 3>> triples;
   triples.reserve(delta.size());
@@ -139,21 +147,28 @@ util::StatusOr<size_t> Endpoint::AddNTriples(std::string_view ntriples) {
                        delta.dictionary().Get(t.p),
                        delta.dictionary().Get(t.o)});
   }
-  std::unique_lock<std::shared_mutex> lock(data_mutex_);
-  size_t added = store_.Insert(triples);
-  if (added > 0) {
-    // The built-in full-text index covers the new literals after a
-    // rebuild, as an RDF engine's background indexer would.
-    text_index_ = std::make_unique<text::TextIndex>(store_);
-    PublishStoreGauges();
-    generation_.fetch_add(1, std::memory_order_release);
+  std::vector<rdf::Triple> inserted;
+  size_t literals_indexed = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(data_mutex_);
+    if (store_.Insert(triples, &inserted) > 0) {
+      // The built-in full-text index covers the new literals at once, as
+      // an RDF engine's incremental indexer would.
+      literals_indexed = text_index_.Add(store_, inserted);
+      PublishStoreGauges();
+      generation_.fetch_add(1, std::memory_order_release);
+    }
   }
-  return added;
+  if (span.recording()) {
+    span.AddAttribute("triples", std::to_string(inserted.size()));
+    span.AddAttribute("literals_indexed", std::to_string(literals_indexed));
+  }
+  return inserted.size();
 }
 
 void Endpoint::PublishStoreGauges() const {
   // The dictionary keeps decoded Terms, so the store's footprint is its
-  // six permutation indexes plus the dictionary.
+  // five permutation indexes plus the dictionary.  Both sizes are O(1).
   const size_t dict = store_.dictionary().ApproxBytes();
   const size_t total = store_.ApproxIndexBytes();
   SetGauge("store.index_bytes", total > dict ? total - dict : 0);

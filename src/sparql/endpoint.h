@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -54,7 +53,8 @@ namespace kgqan::sparql {
 
 class Endpoint {
  public:
-  // Builds the store and its default full-text index over `graph`.
+  // Builds the store and its default full-text index over `graph`, as
+  // `store.build` and `text.build` spans of the calling thread's trace.
   Endpoint(std::string name, rdf::Graph graph);
 
   Endpoint(const Endpoint&) = delete;
@@ -75,8 +75,11 @@ class Endpoint {
                                        size_t num_probes);
 
   // Loads additional data into the KG from N-Triples text (live updates to
-  // the endpoint).  The full-text index is rebuilt; returns the number of
-  // new triples.  Blocks until in-flight queries drain.
+  // the endpoint).  The store merges the new triples in place and the
+  // full-text index adds only the literals they introduce, so the cost
+  // follows the delta, not the KG.  Returns the number of new triples.
+  // Blocks until in-flight queries drain.  Recorded as an `endpoint.update`
+  // span with `triples` and `literals_indexed` attributes.
   util::StatusOr<size_t> AddNTriples(std::string_view ntriples);
 
   // Number of triples in the KG.
@@ -89,7 +92,7 @@ class Endpoint {
   // KGQAn, pre-process the KG), exporters and tests.  KGQAn itself only
   // calls Query().  Not synchronized against AddNTriples.
   const store::TripleStore& store() const { return store_; }
-  const text::TextIndex& text_index() const { return *text_index_; }
+  const text::TextIndex& text_index() const { return text_index_; }
 
   // Request statistics.  query_count counts logical SPARQL requests (each
   // sub-query of a batch counts as one), round_trips counts physical
@@ -158,7 +161,7 @@ class Endpoint {
   // (unique).
   std::shared_mutex data_mutex_;
   store::TripleStore store_;
-  std::unique_ptr<text::TextIndex> text_index_;
+  text::TextIndex text_index_;
 };
 
 // The name `kgqabench/` and `benchgen` construct endpoints by; it predates

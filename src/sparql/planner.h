@@ -5,7 +5,7 @@
 // smallest estimated match count given the slots already bound, using the
 // store's per-permutation Locate() range sizes as the estimator (exact for
 // the constant components of a pattern — every bound-component subset is a
-// key prefix of one of the six permutations — and discounted heuristically
+// key prefix of one of the five permutations — and discounted heuristically
 // for components whose variable is bound by earlier steps).
 //
 // The plan is a pure function of the store and the bound-slot set, so join

@@ -1,7 +1,6 @@
 #include "store/triple_store.h"
 
 #include <array>
-#include <iterator>
 #include <tuple>
 
 namespace kgqan::store {
@@ -11,7 +10,7 @@ TripleStore::TripleStore(rdf::Graph graph) : graph_(std::move(graph)) {
   std::sort(base.begin(), base.end());
   base.erase(std::unique(base.begin(), base.end()), base.end());
   indexes_[0] = std::move(base);  // SPO is the canonical sort order.
-  for (size_t i = 1; i < 6; ++i) {
+  for (size_t i = 1; i < kNumPerms; ++i) {
     indexes_[i] = indexes_[0];
     std::sort(indexes_[i].begin(), indexes_[i].end(),
               PermLess{static_cast<Perm>(i)});
@@ -19,7 +18,8 @@ TripleStore::TripleStore(rdf::Graph graph) : graph_(std::move(graph)) {
 }
 
 size_t TripleStore::Insert(
-    const std::vector<std::array<rdf::Term, 3>>& triples) {
+    const std::vector<std::array<rdf::Term, 3>>& triples,
+    std::vector<Triple>* inserted) {
   // Intern and deduplicate the batch against the existing store.
   std::vector<Triple> fresh;
   fresh.reserve(triples.size());
@@ -33,19 +33,27 @@ size_t TripleStore::Insert(
   }
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  if (fresh.empty()) return 0;
-  // Each permutation index is merged in O(existing + new).
-  for (size_t i = 0; i < 6; ++i) {
-    Perm perm = static_cast<Perm>(i);
+  for (size_t i = 0; i < kNumPerms && !fresh.empty(); ++i) {
+    const PermLess less{static_cast<Perm>(i)};
     std::vector<Triple> batch = fresh;
-    std::sort(batch.begin(), batch.end(), PermLess{perm});
-    std::vector<Triple> merged;
-    merged.reserve(indexes_[i].size() + batch.size());
-    std::merge(indexes_[i].begin(), indexes_[i].end(), batch.begin(),
-               batch.end(), std::back_inserter(merged), PermLess{perm});
-    indexes_[i] = std::move(merged);
+    std::sort(batch.begin(), batch.end(), less);
+    // Merge backward into the grown vector: the largest remaining triple
+    // of either run goes to the back.  Keys are unique (the batch holds
+    // only absent triples), so the order is strict.
+    std::vector<Triple>& index = indexes_[i];
+    size_t a = index.size(), b = batch.size();
+    index.resize(a + b);
+    for (size_t out = a + b; b > 0;) {
+      if (a > 0 && less(batch[b - 1], index[a - 1])) {
+        index[--out] = index[--a];
+      } else {
+        index[--out] = batch[--b];
+      }
+    }
   }
-  return fresh.size();
+  const size_t added = fresh.size();
+  if (inserted != nullptr) *inserted = std::move(fresh);
+  return added;
 }
 
 size_t TripleStore::Erase(TermId s, TermId p, TermId o) {

@@ -1,10 +1,12 @@
-// In-memory triple store with sextuple indexing (Hexastore [59]).
+// In-memory triple store with permutation indexing (after Hexastore [59]).
 //
-// All six component orderings (SPO, SOP, PSO, POS, OSP, OPS) are kept as
-// sorted arrays, so any triple pattern with any subset of bound components
-// is answered by a binary search plus a contiguous scan — the "traditional
+// Five component orderings (SPO, SOP, PSO, POS, OSP) are kept as sorted
+// arrays, so any triple pattern with any subset of bound components is
+// answered by a binary search plus a contiguous scan — the "traditional
 // lookup" indices that Sec. 5.2 of the paper relies on for the
-// outgoingPredicate / incomingPredicate queries.
+// outgoingPredicate / incomingPredicate queries.  Hexastore's sixth order,
+// OPS, is not kept: OSP already covers every object-only lookup, and
+// (object, predicate) lookups use POS.
 
 #ifndef KGQAN_STORE_TRIPLE_STORE_H_
 #define KGQAN_STORE_TRIPLE_STORE_H_
@@ -24,9 +26,11 @@ using rdf::kNullTermId;
 using rdf::TermId;
 using rdf::Triple;
 
-// Identifiers for the six permutations.  The enum value is the index into
+// Identifiers for the five permutations.  The enum value is the index into
 // the internal index array.
-enum class Perm : uint8_t { kSpo = 0, kSop, kPso, kPos, kOsp, kOps };
+enum class Perm : uint8_t { kSpo = 0, kSop, kPso, kPos, kOsp };
+
+inline constexpr size_t kNumPerms = 5;
 
 // Key extractor per permutation: the (k1, k2, k3) sort key of a triple in
 // that index.  Keys are unique within one triple set (a permutation key
@@ -44,8 +48,6 @@ inline std::tuple<TermId, TermId, TermId> PermKey(Perm perm, const Triple& t) {
       return {t.p, t.o, t.s};
     case Perm::kOsp:
       return {t.o, t.s, t.p};
-    case Perm::kOps:
-      return {t.o, t.p, t.s};
   }
   return {0, 0, 0};
 }
@@ -87,9 +89,13 @@ class TripleStore {
   size_t size() const { return indexes_[0].size(); }
 
   // Inserts a batch of triples (terms are interned into the store's
-  // dictionary; duplicates are ignored).  Each permutation index is merged
-  // in O(existing + new).  Returns the number of genuinely new triples.
-  size_t Insert(const std::vector<std::array<rdf::Term, 3>>& triples);
+  // dictionary; duplicates are ignored).  Each permutation index grows in
+  // place and the sorted batch is merged in from the tail, so only the
+  // triples after the first insertion point move.  Returns the number of
+  // genuinely new triples; if `inserted` is non-null it receives them in
+  // SPO order.
+  size_t Insert(const std::vector<std::array<rdf::Term, 3>>& triples,
+                std::vector<Triple>* inserted = nullptr);
 
   // Removes every triple matching the pattern (kNullTermId components are
   // wildcards).  Returns the number of removed triples.  Dictionary
@@ -151,7 +157,7 @@ class TripleStore {
   std::vector<TermId> IncomingPredicates(TermId v) const;
 
   // Approximate bytes held by the store: the actual capacity of each of
-  // the six permutation indexes plus the term dictionary.
+  // the five permutation indexes plus the term dictionary.  O(1).
   size_t ApproxIndexBytes() const {
     size_t bytes = graph_.dictionary().ApproxBytes();
     for (const std::vector<Triple>& index : indexes_) {
@@ -163,7 +169,7 @@ class TripleStore {
  private:
   rdf::Graph graph_;
   // indexes_[Perm]; each holds all triples sorted in that key order.
-  std::array<std::vector<Triple>, 6> indexes_;
+  std::array<std::vector<Triple>, kNumPerms> indexes_;
 };
 
 }  // namespace kgqan::store

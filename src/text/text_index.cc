@@ -73,25 +73,55 @@ TextIndex::TextIndex(const store::TripleStore& store) {
   std::sort(literal_ids.begin(), literal_ids.end());
   literal_ids.erase(std::unique(literal_ids.begin(), literal_ids.end()),
                     literal_ids.end());
+  // Ascending ids keep every posting list sorted by construction.
   for (rdf::TermId id : literal_ids) {
-    const rdf::Term& term = store.dictionary().Get(id);
-    if (!term.IsLiteral()) continue;
-    // Index plain/xsd:string and language-tagged literals only.
-    if (!term.IsStringLiteral() && term.lang.empty()) continue;
-    std::vector<std::string> toks = Tokenize(term.value);
-    std::sort(toks.begin(), toks.end());
-    toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
-    for (std::string& tok : toks) {
-      postings_[std::move(tok)].push_back(id);
-      ++posting_count_;
+    IndexLiteral(store.dictionary().Get(id), id);
+  }
+}
+
+size_t TextIndex::Add(const store::TripleStore& store,
+                      const std::vector<rdf::Triple>& inserted) {
+  // Objects of the batch in ascending id order, each with its number of
+  // new triples.  An object is new to the index exactly when the store now
+  // holds no other triple with it as object.
+  std::vector<rdf::TermId> objects;
+  objects.reserve(inserted.size());
+  for (const rdf::Triple& t : inserted) objects.push_back(t.o);
+  std::sort(objects.begin(), objects.end());
+  size_t indexed = 0;
+  for (auto run = objects.begin(); run != objects.end();) {
+    auto end = std::upper_bound(run, objects.end(), *run);
+    const size_t fresh = static_cast<size_t>(end - run);
+    if (store.CountMatches(rdf::kNullTermId, rdf::kNullTermId, *run) ==
+            fresh &&
+        IndexLiteral(store.dictionary().Get(*run), *run)) {
+      ++indexed;
     }
+    run = end;
   }
-  // Postings were appended in ascending literal id order already, but sort
-  // defensively (cheap, once).
-  for (auto& [tok, ids] : postings_) {
-    (void)tok;
-    std::sort(ids.begin(), ids.end());
+  return indexed;
+}
+
+bool TextIndex::IndexLiteral(const rdf::Term& term, rdf::TermId id) {
+  if (!term.IsLiteral()) return false;
+  // Index plain/xsd:string and language-tagged literals only.
+  if (!term.IsStringLiteral() && term.lang.empty()) return false;
+  std::vector<std::string> toks = Tokenize(term.value);
+  std::sort(toks.begin(), toks.end());
+  toks.erase(std::unique(toks.begin(), toks.end()), toks.end());
+  for (std::string& tok : toks) {
+    std::vector<rdf::TermId>& ids = postings_[std::move(tok)];
+    // Term ids are interned sequentially, so a new literal normally
+    // extends the list at the tail; an older id (a literal interned before
+    // it first became an object) takes a sorted insert.
+    if (ids.empty() || ids.back() < id) {
+      ids.push_back(id);
+    } else {
+      ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+    }
+    ++posting_count_;
   }
+  return true;
 }
 
 std::vector<rdf::TermId> TextIndex::MatchLiterals(const ContainsQuery& query,

@@ -34,11 +34,21 @@ util::StatusOr<ContainsQuery> ParseContainsQuery(std::string_view expr);
 class TextIndex {
  public:
   // Indexes every string literal that occurs as the object of some triple
-  // in `store`.  The store must outlive the index.
+  // in `store`.
   explicit TextIndex(const store::TripleStore& store);
 
   TextIndex(const TextIndex&) = delete;
   TextIndex& operator=(const TextIndex&) = delete;
+
+  // Brings the index up to date after `store.Insert` added `inserted`:
+  // indexes the literals those triples made objects for the first time,
+  // and nothing else, so the cost follows the delta rather than the KG.
+  // Pre-condition: the index matched the store just before that insert
+  // (built from it, or kept current by Add, with no Erase since); it then
+  // equals a fresh TextIndex(store).  Returns the number of literals
+  // indexed.
+  size_t Add(const store::TripleStore& store,
+             const std::vector<rdf::Triple>& inserted);
 
   // Returns ids of literal terms satisfying `query`, ranked by how many
   // distinct query words the literal contains (descending), truncated to
@@ -54,6 +64,11 @@ class TextIndex {
   size_t ApproxIndexBytes() const;
 
  private:
+  // Adds literal `id`'s postings if it is a plain/xsd:string or
+  // language-tagged literal; returns whether it was indexed.  The one
+  // indexing routine, shared by the constructor and Add.
+  bool IndexLiteral(const rdf::Term& term, rdf::TermId id);
+
   // token -> sorted unique literal term ids.
   std::unordered_map<std::string, std::vector<rdf::TermId>> postings_;
   size_t posting_count_ = 0;

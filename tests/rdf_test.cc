@@ -6,6 +6,7 @@
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
 #include "rdf/term_dictionary.h"
+#include "util/rng.h"
 
 namespace kgqan::rdf {
 namespace {
@@ -109,6 +110,47 @@ TEST(TermDictionaryTest, ApproxBytesGrows) {
     dict.Intern(Iri("http://example.org/entity/" + std::to_string(i)));
   }
   EXPECT_GT(dict.ApproxBytes(), before);
+}
+
+// ApproxBytes is a running total kept by Intern; it must equal a full walk
+// over the interned terms after any mix of new and repeated terms.
+TEST(TermDictionaryTest, ApproxBytesEqualsRecomputation) {
+  util::Rng rng(0xD1C7);
+  TermDictionary dict;
+  // The dictionary grows its term vector by push_back from one reserved
+  // slot; a mirror grown the same way has the same capacity.
+  std::vector<Term> mirror(1);
+  for (int i = 0; i < 600; ++i) {
+    const std::string n = std::to_string(rng.UniformInt(0, 199));
+    Term term;
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        term = Iri("http://example.org/e" + n);
+        break;
+      case 1:
+        term = StringLiteral("label " + n);
+        break;
+      case 2:
+        term = LangLiteral("label " + n, "en");
+        break;
+      default:
+        term = IntLiteral(rng.UniformInt(0, 199));
+        break;
+    }
+    const size_t before = dict.size();
+    dict.Intern(term);
+    if (dict.size() > before) mirror.push_back(term);
+
+    size_t expected = mirror.capacity() * sizeof(Term);
+    for (TermId id = 1; id <= dict.MaxId(); ++id) {
+      const Term& t = dict.Get(id);
+      const size_t strings = t.value.size() + t.datatype.size() + t.lang.size();
+      // The term's strings, plus its hash-map node: the encoded key (kind
+      // byte, strings, two separators), the id and a fixed overhead.
+      expected += strings + (strings + 3) + sizeof(TermId) + 32;
+    }
+    ASSERT_EQ(dict.ApproxBytes(), expected) << "after intern " << i;
+  }
 }
 
 TEST(GraphTest, AddInternsTerms) {

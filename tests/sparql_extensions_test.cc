@@ -371,7 +371,7 @@ TEST_F(ExtensionsTest, AddNTriplesIsVisibleToQueriesAndTextIndex) {
       "SELECT (MAX(?e) AS ?top) WHERE { ?m <http://x/elevation> ?e . }");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->At(0, 0)->value, "8849");  // Everest still wins... barely.
-  // The rebuilt full-text index sees the new label.
+  // The incrementally updated full-text index sees the new label.
   auto text = endpoint_.Query(
       "SELECT ?v WHERE { ?v ?p ?d . ?d <bif:contains> \"qogir\" . }");
   ASSERT_TRUE(text.ok());

@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rdf/graph.h"
 #include "sparql/endpoint.h"
 #include "store/triple_store.h"
@@ -164,7 +165,7 @@ TEST(TripleStoreTest, InsertMergesNewTriples) {
   TermId mouth = *store.dictionary().FindIri("http://x/riverMouth");
   TermId caspian = *store.dictionary().FindIri("http://x/caspian");
   EXPECT_TRUE(store.Contains(volga, mouth, caspian));
-  // All six orderings answer for the new triple.
+  // All five orderings answer for the new triple.
   EXPECT_EQ(store.CountMatches(rdf::kNullTermId, rdf::kNullTermId, caspian),
             1u);
   EXPECT_EQ(store.CountMatches(rdf::kNullTermId, mouth, rdf::kNullTermId),
@@ -233,6 +234,49 @@ TEST(TripleStoreTest, EndpointPublishesStoreGauges) {
   ASSERT_TRUE(added.ok()) << added.status();
   ASSERT_EQ(*added, 1u);
   EXPECT_GT(gauge("store.index_bytes"), index_bytes);
+
+  // After several more writes the two gauges still add up exactly to the
+  // endpoint's footprint.
+  for (int i = 0; i < 5; ++i) {
+    const std::string n = std::to_string(i);
+    added = endpoint.AddNTriples("<http://x/gauge_s" + n +
+                                 "> <http://x/label> \"gauge label " + n +
+                                 "\" .\n<http://x/gauge_s" + n +
+                                 "> <http://x/gauge_p> <http://x/baltic> .\n");
+    ASSERT_TRUE(added.ok()) << added.status();
+    ASSERT_EQ(*added, 2u);
+  }
+  EXPECT_EQ(gauge("store.index_bytes") + gauge("store.dict_bytes"),
+            static_cast<int64_t>(endpoint.ApproxIndexBytes()));
+}
+
+// The endpoint's startup phases and its writes are spans of the caller's
+// trace; `endpoint.update` carries the number of new triples and of
+// literals it indexed.
+TEST(TripleStoreTest, EndpointRecordsBuildAndUpdateSpans) {
+  obs::Trace trace(obs::Trace::Mode::kFull);
+  {
+    obs::ScopedContext bind(obs::TraceContext{&trace, obs::kNoSpan});
+    sparql::Endpoint endpoint("span-test", SmallGraph());
+    // Three new triples: one reuses the indexed "Baltic Sea" literal, one
+    // adds a new literal, one adds an IRI object; the fourth is a duplicate.
+    auto added = endpoint.AddNTriples(
+        "<http://x/gulf> <http://x/label> \"Baltic Sea\" .\n"
+        "<http://x/gulf> <http://x/name> \"Gulf of Riga\"@en .\n"
+        "<http://x/gulf> <http://x/partOf> <http://x/baltic> .\n"
+        "<http://x/baltic> <http://x/type> <http://x/Sea> .\n");
+    ASSERT_TRUE(added.ok()) << added.status();
+    ASSERT_EQ(*added, 3u);
+  }
+  EXPECT_NE(trace.FindSpan("store.build"), obs::kNoSpan);
+  EXPECT_NE(trace.FindSpan("text.build"), obs::kNoSpan);
+  const size_t span = trace.FindSpan("endpoint.update");
+  ASSERT_NE(span, obs::kNoSpan);
+  const obs::SpanRecord record = trace.spans()[span];
+  EXPECT_GE(record.duration_ns, 0);
+  using Attr = std::pair<std::string, std::string>;
+  EXPECT_EQ(record.attributes,
+            (std::vector<Attr>{{"triples", "3"}, {"literals_indexed", "1"}}));
 }
 
 // ---- Property tests: every bound-component combination must agree with a
@@ -310,7 +354,7 @@ TEST_P(TripleStorePropertyTest, PredicateListsAgreeWithNaiveScan) {
   }
 }
 
-// Live inserts and pattern erases keep all six permutation indexes in
+// Live inserts and pattern erases keep all five permutation indexes in
 // step: after each round every bound-component combination still agrees
 // with a naive scan of the expected triple set.
 TEST_P(TripleStorePropertyTest, InsertAndEraseKeepPermutationsInStep) {
