@@ -21,7 +21,6 @@ namespace {
 // one engine configuration (summed KgqanResult linking counters).
 struct LinkTraffic {
   size_t requests = 0;
-  size_t round_trips = 0;
   double ms = 0.0;
 };
 
@@ -32,7 +31,6 @@ LinkTraffic MeasureLinkTraffic(const kgqan::core::KgqanConfig& config,
   for (const auto& q : b.questions) {
     auto result = engine.AnswerFull(q.text, *b.endpoint);
     t.requests += result.linking_requests;
-    t.round_trips += result.linking_round_trips;
     t.ms += result.response.timings.linking_ms;
   }
   return t;
@@ -81,34 +79,25 @@ int main(int argc, char** argv) {
   bench::PrintRule(92);
 
   // Linking endpoint traffic: K = the fully serial pipeline, K-par = the
-  // thread-pool fan-out (one request per probe, issued concurrently),
-  // K-batch = batched UNION/VALUES wave queries.  All three produce
-  // byte-identical AGPs; only the number of physical exchanges differs.
+  // thread-pool fan-out (one request per probe, issued concurrently).  Both
+  // produce byte-identical AGPs from the same requests.
   core::KgqanConfig serial_cfg = bench::DefaultEngineConfig();
   serial_cfg.num_threads = 1;
   core::KgqanConfig par_cfg = bench::DefaultEngineConfig();
   par_cfg.num_threads = 8;
-  core::KgqanConfig batch_cfg = par_cfg;
-  batch_cfg.batch_linking = true;
 
   LinkTraffic t_serial = MeasureLinkTraffic(serial_cfg, b);
   LinkTraffic t_par = MeasureLinkTraffic(par_cfg, b);
-  LinkTraffic t_batch = MeasureLinkTraffic(batch_cfg, b);
 
   std::printf("\nJIT-linking endpoint traffic over the same question set\n");
-  bench::PrintRule(64);
-  std::printf("%-9s | %9s | %11s | %s\n", "Variant", "Requests",
-              "Round trips", "Linking ms");
-  bench::PrintRule(64);
+  bench::PrintRule(40);
+  std::printf("%-9s | %9s | %s\n", "Variant", "Requests", "Linking ms");
+  bench::PrintRule(40);
   auto traffic_row = [](const char* name, const LinkTraffic& t) {
-    std::printf("%-9s | %9zu | %11zu | %10.1f\n", name, t.requests,
-                t.round_trips, t.ms);
+    std::printf("%-9s | %9zu | %10.1f\n", name, t.requests, t.ms);
   };
   traffic_row("K", t_serial);
   traffic_row("K-par", t_par);
-  traffic_row("K-batch", t_batch);
-  bench::PrintRule(64);
-  std::printf("K-batch folds probes into waves of <= %zu "
-              "(Config::max_batch_size).\n", batch_cfg.max_batch_size);
+  bench::PrintRule(40);
   return 0;
 }

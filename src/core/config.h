@@ -59,40 +59,8 @@ struct KgqanConfig {
 
   // Total entries per mode of the sharded LRU linking cache keyed by
   // (phrase, KG identity, mode); repeated questions skip the endpoint
-  // round-trips of Sec. 5 entirely.  0 disables caching.
+  // requests of Sec. 5 entirely.  0 disables caching.
   size_t linking_cache_capacity = 4096;
-
-  // Cross-question answer cache (not a paper parameter): memoizes
-  // candidate-query results under (canonical AST, endpoint generation)
-  // keys, so repeated and paraphrased questions — whose candidates are
-  // identical after variable renaming and triple reordering — skip SPARQL
-  // execution entirely.  Off (default) preserves the exact uncached
-  // execution path; on, answers are byte-identical (the rotating-seed
-  // property test's bar) but endpoint traffic shrinks with stream
-  // repetition.  Results observed under an expired deadline or across an
-  // endpoint update are never inserted.
-  bool answer_cache = false;
-
-  // Total entry budget of the answer cache, split across its shards
-  // (0 disables the cache even when answer_cache is true).
-  size_t answer_cache_capacity = 1024;
-
-  // Lock shards of the answer cache; more shards reduce contention when
-  // many QaServer workers share one engine.
-  size_t answer_cache_shards = 8;
-
-  // Batched JIT linking (not a paper parameter): collect the
-  // text-containment probes of a node wave and the outgoing/incoming
-  // predicate probes of an edge wave into combined UNION/VALUES SELECTs,
-  // so a wave costs ceil(probes / max_batch_size) endpoint round-trips
-  // instead of one per probe.  Off (default) preserves the exact PR 1
-  // per-probe behaviour, including per-endpoint request counts; on, the
-  // produced AGP is byte-identical but round_trips shrink.
-  bool batch_linking = false;
-
-  // Probes folded into one batched wave query; larger batches mean fewer
-  // round-trips but bigger queries (and a coarser endpoint row cap).
-  size_t max_batch_size = 16;
 
   // EXPLAIN ANALYZE (not a paper parameter): collect per-operator runtime
   // statistics — rows in/out, planner cardinality estimate vs. actual,

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "sparql/canonical.h"
-#include "sparql/parser.h"
 #include "util/cancel.h"
 #include "util/string_util.h"
 
@@ -29,16 +27,6 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
 std::unique_ptr<LinkingCache> MakeCache(size_t capacity) {
   if (capacity == 0) return nullptr;
   return std::make_unique<LinkingCache>(capacity);
-}
-
-std::shared_ptr<AnswerCache> MakeAnswerCache(
-    const KgqanConfig& config, std::shared_ptr<AnswerCache> shared) {
-  if (shared != nullptr) return shared;
-  if (!config.answer_cache || config.answer_cache_capacity == 0) {
-    return nullptr;
-  }
-  return std::make_shared<AnswerCache>(config.answer_cache_capacity,
-                                       config.answer_cache_shards);
 }
 
 }  // namespace
@@ -102,8 +90,7 @@ std::string Explain(const KgqanResult& result) {
     }
   }
   out += "linking:     " + std::to_string(result.linking_requests) +
-         " requests in " + std::to_string(result.linking_round_trips) +
-         " round trips\n";
+         " requests\n";
   if (result.trace_id != 0) {
     char trace_hex[24];
     std::snprintf(trace_hex, sizeof(trace_hex), "%016llx",
@@ -122,57 +109,16 @@ std::string Explain(const KgqanResult& result) {
   return out;
 }
 
-KgqanEngine::KgqanEngine(const KgqanConfig& config,
-                         std::shared_ptr<AnswerCache> answer_cache)
+KgqanEngine::KgqanEngine(const KgqanConfig& config)
     : config_(config),
       generator_(config.qu),
       affinity_(std::make_unique<embed::SemanticAffinity>(
           config.affinity_mode)),
       pool_(MakePool(config.num_threads)),
       cache_(MakeCache(config.linking_cache_capacity)),
-      answer_cache_(MakeAnswerCache(config, std::move(answer_cache))),
       linker_(&config_, affinity_.get(), pool_.get(), cache_.get()),
       bgp_generator_(&config_),
       filtration_(&config_, affinity_.get()) {}
-
-util::StatusOr<sparql::ResultSet> KgqanEngine::ExecuteCandidateQuery(
-    const std::string& sparql_text, sparql::Endpoint& endpoint,
-    bool* cache_hit) const {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (answer_cache_ == nullptr) return endpoint.Query(sparql_text);
-
-  // The candidate text was rendered by BgpGenerator, so it always parses;
-  // fall back to plain execution defensively if it ever does not.
-  auto parsed = sparql::ParseQuery(sparql_text);
-  if (!parsed.ok()) return endpoint.Query(sparql_text);
-  sparql::CanonicalForm canon = sparql::Canonicalize(*parsed);
-  if (!canon.cacheable) return endpoint.Query(sparql_text);
-
-  // The generation captured *before* execution keys the entry; if an
-  // endpoint update commits while the query runs, the re-check below fails
-  // and the ambiguous result is discarded instead of cached.
-  const size_t generation = endpoint.generation();
-  const std::string kg = endpoint.cache_identity();
-  if (std::shared_ptr<const sparql::ResultSet> hit =
-          answer_cache_->Get(canon.key, kg)) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    if (hit->is_ask() || canon.projection_original.empty()) return *hit;
-    return hit->WithColumns(canon.projection_original);
-  }
-
-  auto rs = endpoint.Query(sparql_text);
-  if (rs.ok() && !util::Cancelled() && endpoint.generation() == generation) {
-    // Stored under canonical column names so a hit from a renamed-but-
-    // equivalent candidate of another question translates positionally.
-    answer_cache_->Put(
-        canon.key, kg,
-        std::make_shared<const sparql::ResultSet>(
-            rs->is_ask() || canon.projection_canonical.empty()
-                ? *rs
-                : rs->WithColumns(canon.projection_canonical)));
-  }
-  return rs;
-}
 
 RuntimeCounters KgqanEngine::Counters() const {
   RuntimeCounters counters;
@@ -180,11 +126,6 @@ RuntimeCounters KgqanEngine::Counters() const {
     LinkingCacheStats stats = cache_->stats();
     counters.linking_cache_hits = stats.hits;
     counters.linking_cache_misses = stats.misses;
-  }
-  if (answer_cache_ != nullptr) {
-    AnswerCacheStats stats = answer_cache_->stats();
-    counters.answer_cache_hits = stats.hits;
-    counters.answer_cache_misses = stats.misses;
   }
   return counters;
 }
@@ -211,21 +152,14 @@ std::vector<rdf::Term> KgqanEngine::RunSelectCandidate(
   sparql::EvalProfile profile;
   std::optional<sparql::ScopedEvalProfile> analyze;
   if (config_.explain_analyze || span.recording()) analyze.emplace(&profile);
-  bool cache_hit = false;
-  auto rs = ExecuteCandidateQuery(BgpGenerator::ToSelectSparql(bgp, var),
-                                  endpoint, &cache_hit);
+  auto rs = endpoint.Query(BgpGenerator::ToSelectSparql(bgp, var));
   analyze.reset();
   stats->operators = std::move(profile.operators);
-  if (span.recording() && answer_cache_ != nullptr) {
-    span.AddAttribute("answer_cache", cache_hit ? "hit" : "miss");
-  }
   if (!rs.ok() || rs->NumRows() == 0) return finish({});
 
   // Group rows into (answer, class list) candidates.  The grouping is a
-  // pure function of the row *set* — candidates come out in N-Triples
-  // order with sorted, deduplicated class lists — so a cached result from
-  // an equivalent candidate (whose evaluator may emit the same rows in a
-  // different order) yields byte-identical answers.
+  // pure function of the row *set*: candidates come out in N-Triples
+  // order with sorted, deduplicated class lists.
   auto a_col = rs->ColumnIndex(var);
   auto c_col = rs->ColumnIndex("c");
   if (!a_col.has_value()) return finish({});
@@ -287,14 +221,9 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
     if (config_.explain_analyze || span.recording()) {
       analyze.emplace(&profile);
     }
-    bool cache_hit = false;
-    auto rs = ExecuteCandidateQuery(BgpGenerator::ToAskSparql(bgp), endpoint,
-                                    &cache_hit);
+    auto rs = endpoint.Query(BgpGenerator::ToAskSparql(bgp));
     analyze.reset();
     stats->operators = std::move(profile.operators);
-    if (span.recording() && answer_cache_ != nullptr) {
-      span.AddAttribute("answer_cache", cache_hit ? "hit" : "miss");
-    }
     bool held = rs.ok() && rs->is_ask() && rs->ask_value();
     stats->latency_ms = span.ElapsedMillis();
     stats->rows = held ? 1 : 0;
@@ -472,19 +401,13 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
     obs::ScopedSpan span("linking");
     uint64_t requests_before =
         trace->counter(obs::TraceCounter::kEndpointRequests);
-    uint64_t round_trips_before =
-        trace->counter(obs::TraceCounter::kEndpointRoundTrips);
     result.agp = linker_.Link(result.pgp, endpoint);
     result.linking_requests =
         trace->counter(obs::TraceCounter::kEndpointRequests) - requests_before;
-    result.linking_round_trips =
-        trace->counter(obs::TraceCounter::kEndpointRoundTrips) -
-        round_trips_before;
+    result.linking_round_trips = result.linking_requests;
     if (span.recording()) {
       span.AddAttribute("endpoint.requests",
                         std::to_string(result.linking_requests));
-      span.AddAttribute("endpoint.round_trips",
-                        std::to_string(result.linking_round_trips));
     }
     result.response.timings.linking_ms = span.ElapsedMillis();
   }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/agp.h"
-#include "core/answer_cache.h"
 #include "core/bgp.h"
 #include "core/config.h"
 #include "core/filtration.h"
@@ -39,8 +38,7 @@ struct CandidateQueryStats {
   size_t rows = 0;  // Surviving answers (SELECT) or 1/0 (ASK held or not).
   // EXPLAIN ANALYZE: per-operator runtime stats of the candidate's
   // evaluation, in execution order.  Populated when Config::explain_analyze
-  // is on or the question's trace records spans; empty otherwise (and on
-  // answer-cache hits, which evaluate nothing).
+  // is on or the question's trace records spans; empty otherwise.
   std::vector<sparql::OperatorStats> operators;
 };
 
@@ -54,12 +52,13 @@ struct KgqanResult {
   size_t queries_generated = 0;
   size_t queries_executed = 0;
   std::vector<CandidateQueryStats> candidates;
-  // Endpoint traffic of the linking phase: logical SPARQL requests and
-  // physical exchanges (batched linking shrinks the latter).  Exact even
-  // when other threads share the endpoint concurrently: the endpoint
-  // attributes traffic to the question's trace, which every worker thread
-  // of this question binds via thread-local context.
+  // Endpoint requests of the linking phase.  Exact even when other
+  // threads share the endpoint concurrently: the endpoint attributes
+  // traffic to the question's trace, which every worker thread of this
+  // question binds via thread-local context.
   size_t linking_requests = 0;
+  // Always equal to linking_requests (every request is its own exchange);
+  // kept because the benchmark harness reports it.
   size_t linking_round_trips = 0;
   // True when cooperative cancellation truncated the pipeline (the bound
   // util::CancelToken expired mid-question): the response holds whatever
@@ -85,15 +84,7 @@ std::string Explain(const KgqanResult& result);
 class KgqanEngine : public QaSystem {
  public:
   KgqanEngine() : KgqanEngine(KgqanConfig()) {}
-  explicit KgqanEngine(const KgqanConfig& config)
-      : KgqanEngine(config, nullptr) {}
-
-  // Shares `answer_cache` instead of building a private one — pass the
-  // same cache to every engine behind one QaServer so paraphrased
-  // questions hit regardless of which worker/engine served the original
-  // (null + config.answer_cache => a private cache is built).
-  KgqanEngine(const KgqanConfig& config,
-              std::shared_ptr<AnswerCache> answer_cache);
+  explicit KgqanEngine(const KgqanConfig& config);
 
   std::string name() const override { return "KGQAn"; }
 
@@ -115,10 +106,10 @@ class KgqanEngine : public QaSystem {
 
   // Full pipeline with intermediate artifacts exposed.  When `trace` is a
   // full-mode obs::Trace, one span tree for the question is recorded into
-  // it (qu → linking → execution → filtration, down to individual probe
-  // batches and candidate queries).  With nullptr the engine still binds a
-  // private counters-only trace, so linking_requests/linking_round_trips
-  // are exact either way and span bookkeeping costs nothing.
+  // it (qu → linking → execution → filtration, down to individual probes
+  // and candidate queries).  With nullptr the engine still binds a private
+  // counters-only trace, so linking_requests is exact either way and span
+  // bookkeeping costs nothing.
   //
   // Deadlines: when the calling thread has a util::CancelToken bound (see
   // serve::QaServer), the pipeline polls it between phases, before every
@@ -139,11 +130,6 @@ class KgqanEngine : public QaSystem {
   // Worker threads actually in use (1 = serial pipeline).
   size_t effective_threads() const { return pool_ ? pool_->size() : 1; }
   const LinkingCache* linking_cache() const { return cache_.get(); }
-  // The cross-question answer cache (null when disabled); shared so
-  // multi-engine deployments can pool it.
-  const std::shared_ptr<AnswerCache>& answer_cache() const {
-    return answer_cache_;
-  }
 
  private:
   // Executes the ranked candidate queries of a non-boolean question and
@@ -167,17 +153,6 @@ class KgqanEngine : public QaSystem {
       const nlp::AnswerTypePrediction& answer_type, sparql::Endpoint& endpoint,
       CandidateQueryStats* stats) const;
 
-  // Executes one candidate query, consulting the answer cache when
-  // enabled: a hit (keyed on the canonical AST and the endpoint's current
-  // generation) skips the endpoint entirely and is translated back to the
-  // candidate's own variable names; a miss executes and inserts — unless
-  // the request's deadline expired or the endpoint generation moved during
-  // execution, which must never populate the cache.  `cache_hit` (nullable)
-  // reports which path was taken.
-  util::StatusOr<sparql::ResultSet> ExecuteCandidateQuery(
-      const std::string& sparql_text, sparql::Endpoint& endpoint,
-      bool* cache_hit) const;
-
   KgqanConfig config_;
   qu::TriplePatternGenerator generator_;
   nlp::AnswerTypeClassifier answer_type_classifier_;
@@ -185,7 +160,6 @@ class KgqanEngine : public QaSystem {
   // Declared before linker_: the linker borrows both raw pointers.
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<LinkingCache> cache_;
-  std::shared_ptr<AnswerCache> answer_cache_;
   JitLinker linker_;
   BgpGenerator bgp_generator_;
   Filtration filtration_;

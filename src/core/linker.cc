@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <future>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -175,11 +173,13 @@ std::string JitLinker::PredicateDescription(const std::string& iri,
   return description;
 }
 
-std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
-    const Agp& agp, const qu::Pgp::Edge& edge, sparql::Endpoint& endpoint,
-    const PredicateLookup& lookup) const {
+std::vector<RelevantPredicate> JitLinker::LinkRelation(
+    const Agp& agp, const qu::Pgp::Edge& edge, size_t edge_index,
+    sparql::Endpoint& endpoint) const {
+  (void)edge_index;
+  obs::ScopedSpan span("linking.relation");
+  span.AddAttribute("label", edge.label);
   std::vector<RelevantPredicate> out;
-  const std::string& relation_label = edge.label;
 
   // T_rv: union of relevant vertices of the two endpoints, remembering
   // which node each vertex annotates.
@@ -191,7 +191,8 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
   }
 
   // outgoingPredicate(v) and incomingPredicate(v) (Sec. 5.2); both
-  // directions because the PGP is undirected.  Each distinct predicate is
+  // directions because the PGP is undirected.  One endpoint request per
+  // (anchor, direction), issued in walk order.  Each distinct predicate is
   // described at its first encounter and scored once, after the walk.
   std::unordered_map<std::string, double> scores;
   // Per distinct predicate, in first-encounter order: its score slot in
@@ -200,10 +201,19 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
   std::unordered_set<std::string> seen;  // (p, v, o) dedup.
   for (const auto& [v_iri, node] : anchor_vertices) {
     for (bool vertex_is_object : {false, true}) {
-      std::optional<std::vector<std::string>> preds =
-          lookup(v_iri, vertex_is_object);
-      if (!preds.has_value()) continue;
-      for (const std::string& p_iri : *preds) {
+      std::string query =
+          vertex_is_object
+              ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + v_iri + "> . }"
+              : "SELECT DISTINCT ?p WHERE { <" + v_iri + "> ?p ?obj . }";
+      auto rs = [&] {
+        obs::ScopedSpan probe_span("linking.predicate_probe");
+        return endpoint.Query(query);
+      }();
+      if (!rs.ok()) continue;
+      for (size_t r = 0; r < rs->NumRows(); ++r) {
+        const auto& p = rs->At(r, 0);
+        if (!p.has_value() || !p->IsIri()) continue;
+        const std::string& p_iri = p->value;
         std::string key =
             p_iri + "\x1f" + v_iri + (vertex_is_object ? "\x1fO" : "\x1fS");
         if (!seen.insert(key).second) continue;
@@ -223,9 +233,9 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
   }
 
   {
-    obs::ScopedSpan span("linking.affinity");
+    obs::ScopedSpan affinity_span("linking.affinity");
     const embed::SemanticAffinity::Phrase prepared_label =
-        affinity_->Prepare(relation_label);
+        affinity_->Prepare(edge.label);
     for (auto& [score, description] : unscored) {
       *score = affinity_->NormalizedScore(prepared_label,
                                           affinity_->Prepare(description));
@@ -233,349 +243,11 @@ std::vector<RelevantPredicate> JitLinker::AssembleEdgePredicates(
   }
   for (RelevantPredicate& rp : out) rp.score = scores[rp.iri];
   KeepTopK(out, config_->top_k_predicates);
-  return out;
-}
-
-std::vector<RelevantPredicate> JitLinker::LinkRelation(
-    const Agp& agp, const qu::Pgp::Edge& edge, size_t edge_index,
-    sparql::Endpoint& endpoint) const {
-  (void)edge_index;
-  obs::ScopedSpan span("linking.relation");
-  span.AddAttribute("label", edge.label);
-  // Serial per-probe lookup: one endpoint request per (anchor, direction),
-  // issued in walk order — the exact PR 1 behaviour.
-  std::vector<RelevantPredicate> out = AssembleEdgePredicates(
-      agp, edge, endpoint,
-      [&endpoint](const std::string& v_iri, bool vertex_is_object)
-          -> std::optional<std::vector<std::string>> {
-        std::string query =
-            vertex_is_object
-                ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + v_iri + "> . }"
-                : "SELECT DISTINCT ?p WHERE { <" + v_iri + "> ?p ?obj . }";
-        auto rs = [&] {
-          obs::ScopedSpan probe_span("linking.predicate_probe");
-          return endpoint.Query(query);
-        }();
-        if (!rs.ok()) return std::nullopt;
-        std::vector<std::string> preds;
-        preds.reserve(rs->NumRows());
-        for (size_t r = 0; r < rs->NumRows(); ++r) {
-          const auto& p = rs->At(r, 0);
-          if (!p.has_value() || !p->IsIri()) continue;
-          preds.push_back(p->value);
-        }
-        return preds;
-      });
   RelationLinkLatency().Record(span.ElapsedMillis());
   return out;
 }
 
-void JitLinker::LinkNodesBatched(const qu::Pgp& pgp, Agp* agp,
-                                 sparql::Endpoint& endpoint) const {
-  obs::ScopedSpan wave_span("linking.node_wave");
-  const std::string kg =
-      cache_ != nullptr ? endpoint.cache_identity() : std::string();
-
-  // One probe per distinct node label, in first-encounter order; cache hits
-  // and empty labels resolve immediately and shrink the wave.
-  std::unordered_map<std::string, std::vector<RelevantVertex>> resolved;
-  std::vector<std::string> probes;
-  std::unordered_set<std::string> enqueued;
-  for (const qu::Pgp::Node& node : pgp.nodes()) {
-    if (node.is_unknown) continue;
-    const std::string& label = node.label;
-    if (resolved.count(label) > 0 || enqueued.count(label) > 0) continue;
-    if (label.empty()) {
-      resolved.emplace(label, std::vector<RelevantVertex>());
-      continue;
-    }
-    if (cache_ != nullptr) {
-      if (auto cached = cache_->GetVertices(label, kg); cached.has_value()) {
-        resolved.emplace(label, *std::move(cached));
-        continue;
-      }
-    }
-    enqueued.insert(label);
-    probes.push_back(label);
-  }
-
-  const size_t batch = config_->max_batch_size > 0 ? config_->max_batch_size
-                                                   : size_t{1};
-  std::vector<std::vector<std::string>> chunks;
-  for (size_t i = 0; i < probes.size(); i += batch) {
-    chunks.emplace_back(probes.begin() + static_cast<ptrdiff_t>(i),
-                        probes.begin() + static_cast<ptrdiff_t>(
-                                             std::min(probes.size(), i + batch)));
-  }
-
-  // One UNION branch per probe: `?probe` (an integer literal VALUES
-  // binding) demultiplexes rows back to their originating probe.  No
-  // query-level LIMIT — the per-probe maxVR cap is applied during demux so
-  // each probe sees exactly the rows its own LIMITed query would return.
-  auto run_chunk = [this, &endpoint](const std::vector<std::string>& chunk) {
-    obs::ScopedSpan batch_span("linking.probe_batch");
-    if (batch_span.recording()) {
-      batch_span.AddAttribute("probes", std::to_string(chunk.size()));
-    }
-    std::string q = "SELECT ?probe ?v ?d WHERE { ";
-    for (size_t k = 0; k < chunk.size(); ++k) {
-      if (k > 0) q += "UNION ";
-      q += "{ VALUES ?probe { " + std::to_string(k) +
-           " } ?v ?p ?d . ?d <bif:contains> \"" + TextContainsExpr(chunk[k]) +
-           "\" . } ";
-    }
-    q += "}";
-    obs::ScopedSpan probe_span("linking.text_probe");
-    return endpoint.QueryBatch(q, chunk.size());
-  };
-  std::vector<util::StatusOr<sparql::ResultSet>> results;
-  results.reserve(chunks.size());
-  if (pool_ != nullptr && chunks.size() > 1) {
-    std::vector<std::future<util::StatusOr<sparql::ResultSet>>> futures;
-    futures.reserve(chunks.size());
-    for (const auto& chunk : chunks) {
-      futures.push_back(
-          pool_->Submit([&run_chunk, &chunk]() { return run_chunk(chunk); }));
-    }
-    for (auto& f : futures) results.push_back(f.get());
-  } else {
-    for (const auto& chunk : chunks) results.push_back(run_chunk(chunk));
-  }
-
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const std::vector<std::string>& chunk = chunks[c];
-    const auto& rs = results[c];
-    // Per-probe (v, d) rows; raw_seen counts rows before the IRI filter so
-    // truncation matches the serial query's LIMIT semantics.
-    std::vector<std::vector<std::pair<std::string, std::string>>> rows(
-        chunk.size());
-    std::vector<size_t> raw_seen(chunk.size(), 0);
-    if (rs.ok()) {
-      auto probe_col = rs->ColumnIndex("probe");
-      auto v_col = rs->ColumnIndex("v");
-      auto d_col = rs->ColumnIndex("d");
-      if (probe_col.has_value() && v_col.has_value() && d_col.has_value()) {
-        for (size_t r = 0; r < rs->NumRows(); ++r) {
-          const auto& probe = rs->At(r, *probe_col);
-          if (!probe.has_value()) continue;
-          size_t k = static_cast<size_t>(
-              std::strtoul(probe->value.c_str(), nullptr, 10));
-          if (k >= chunk.size()) continue;
-          if (raw_seen[k]++ >= config_->max_fetched_vertices) continue;
-          const auto& v = rs->At(r, *v_col);
-          const auto& d = rs->At(r, *d_col);
-          if (!v.has_value() || !d.has_value()) continue;
-          if (!v->IsIri()) continue;
-          rows[k].emplace_back(v->value, d->value);
-        }
-      }
-    }
-    for (size_t k = 0; k < chunk.size(); ++k) {
-      std::vector<RelevantVertex> out = ScoreEntityRows(chunk[k], rows[k]);
-      if (cache_ != nullptr && !util::Cancelled()) {
-        cache_->PutVertices(chunk[k], kg, out);
-      }
-      resolved.emplace(chunk[k], std::move(out));
-    }
-  }
-
-  for (size_t i = 0; i < pgp.nodes().size(); ++i) {
-    const qu::Pgp::Node& node = pgp.nodes()[i];
-    if (node.is_unknown) continue;
-    agp->node_vertices[i] = resolved[node.label];
-  }
-}
-
-void JitLinker::LinkEdgesBatched(Agp* agp,
-                                 const std::vector<size_t>& edge_indices,
-                                 sparql::Endpoint& endpoint) const {
-  obs::ScopedSpan wave_span("linking.edge_wave");
-  const std::string kg =
-      cache_ != nullptr ? endpoint.cache_identity() : std::string();
-  struct Probe {
-    std::string iri;
-    bool vertex_is_object;
-  };
-  auto key_of = [](const std::string& iri, bool vertex_is_object) {
-    return iri + (vertex_is_object ? "\x1fI" : "\x1fO");
-  };
-
-  // One probe per distinct (anchor vertex, direction) across the wave's
-  // edges, in the walk order of the serial path; nullopt marks a failed
-  // chunk (an anchor whose own query would have failed).
-  std::unordered_map<std::string, std::optional<std::vector<std::string>>>
-      resolved;
-  std::vector<Probe> probes;
-  std::unordered_set<std::string> enqueued;
-  const auto& edges = agp->pgp.edges();
-  for (size_t e : edge_indices) {
-    const qu::Pgp::Edge& edge = edges[e];
-    for (size_t node : {edge.a, edge.b}) {
-      for (const RelevantVertex& rv : agp->node_vertices[node]) {
-        for (bool vertex_is_object : {false, true}) {
-          std::string key = key_of(rv.iri, vertex_is_object);
-          if (resolved.count(key) > 0 || !enqueued.insert(key).second) {
-            continue;
-          }
-          if (cache_ != nullptr) {
-            if (auto cached =
-                    cache_->GetAnchorPredicates(rv.iri, vertex_is_object, kg);
-                cached.has_value()) {
-              resolved.emplace(key, *std::move(cached));
-              continue;
-            }
-          }
-          probes.push_back(Probe{rv.iri, vertex_is_object});
-        }
-      }
-    }
-  }
-
-  const size_t batch = config_->max_batch_size > 0 ? config_->max_batch_size
-                                                   : size_t{1};
-  std::vector<std::vector<Probe>> chunks;
-  for (size_t i = 0; i < probes.size(); i += batch) {
-    chunks.emplace_back(probes.begin() + static_cast<ptrdiff_t>(i),
-                        probes.begin() + static_cast<ptrdiff_t>(
-                                             std::min(probes.size(), i + batch)));
-  }
-
-  // One UNION branch per direction: `?probe` 0 = outgoing, 1 = incoming,
-  // with the chunk's anchors of that direction as `VALUES ?anchor`.  The
-  // evaluator expands VALUES in written order, so each anchor's rows are
-  // contiguous and DISTINCT keeps the first occurrence of every
-  // (probe, anchor, p) — the same predicate list, in the same order, as the
-  // anchor's own `SELECT DISTINCT ?p` query.
-  auto run_chunk = [&endpoint](const std::vector<Probe>& chunk) {
-    obs::ScopedSpan batch_span("linking.probe_batch");
-    if (batch_span.recording()) {
-      batch_span.AddAttribute("probes", std::to_string(chunk.size()));
-    }
-    std::string q = "SELECT DISTINCT ?probe ?anchor ?p WHERE { ";
-    bool first = true;
-    for (int dir = 0; dir < 2; ++dir) {
-      const bool vertex_is_object = dir == 1;
-      std::string values;
-      for (const Probe& pr : chunk) {
-        if (pr.vertex_is_object == vertex_is_object) {
-          values += "<" + pr.iri + "> ";
-        }
-      }
-      if (values.empty()) continue;
-      if (!first) q += "UNION ";
-      first = false;
-      q += "{ VALUES ?probe { " + std::to_string(dir) + " } VALUES ?anchor { " +
-           values + "} " +
-           (vertex_is_object ? "?sub ?p ?anchor . " : "?anchor ?p ?obj . ") +
-           "} ";
-    }
-    q += "}";
-    obs::ScopedSpan probe_span("linking.predicate_probe");
-    return endpoint.QueryBatch(q, chunk.size());
-  };
-  std::vector<util::StatusOr<sparql::ResultSet>> results;
-  results.reserve(chunks.size());
-  if (pool_ != nullptr && chunks.size() > 1) {
-    std::vector<std::future<util::StatusOr<sparql::ResultSet>>> futures;
-    futures.reserve(chunks.size());
-    for (const auto& chunk : chunks) {
-      futures.push_back(
-          pool_->Submit([&run_chunk, &chunk]() { return run_chunk(chunk); }));
-    }
-    for (auto& f : futures) results.push_back(f.get());
-  } else {
-    for (const auto& chunk : chunks) results.push_back(run_chunk(chunk));
-  }
-
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const std::vector<Probe>& chunk = chunks[c];
-    const auto& rs = results[c];
-    if (!rs.ok()) {
-      for (const Probe& pr : chunk) {
-        resolved[key_of(pr.iri, pr.vertex_is_object)] = std::nullopt;
-      }
-      continue;
-    }
-    // A probe without rows is a successful empty lookup, not a failure.
-    for (const Probe& pr : chunk) {
-      resolved[key_of(pr.iri, pr.vertex_is_object)] =
-          std::vector<std::string>();
-    }
-    auto probe_col = rs->ColumnIndex("probe");
-    auto anchor_col = rs->ColumnIndex("anchor");
-    auto p_col = rs->ColumnIndex("p");
-    if (probe_col.has_value() && anchor_col.has_value() && p_col.has_value()) {
-      for (size_t r = 0; r < rs->NumRows(); ++r) {
-        const auto& probe = rs->At(r, *probe_col);
-        const auto& anchor = rs->At(r, *anchor_col);
-        const auto& p = rs->At(r, *p_col);
-        if (!probe.has_value() || !anchor.has_value() || !p.has_value()) {
-          continue;
-        }
-        if (!p->IsIri()) continue;
-        auto it = resolved.find(key_of(anchor->value, probe->value == "1"));
-        if (it == resolved.end() || !it->second.has_value()) continue;
-        it->second->push_back(p->value);
-      }
-    }
-    if (cache_ != nullptr && !util::Cancelled()) {
-      for (const Probe& pr : chunk) {
-        const auto& preds = resolved[key_of(pr.iri, pr.vertex_is_object)];
-        if (preds.has_value()) {
-          cache_->PutAnchorPredicates(pr.iri, pr.vertex_is_object, kg,
-                                      *preds);
-        }
-      }
-    }
-  }
-
-  for (size_t e : edge_indices) {
-    agp->edge_predicates[e] = AssembleEdgePredicates(
-        *agp, edges[e], endpoint,
-        [&resolved, &key_of](const std::string& v_iri, bool vertex_is_object) {
-          return resolved[key_of(v_iri, vertex_is_object)];
-        });
-  }
-}
-
-Agp JitLinker::LinkBatched(const qu::Pgp& pgp,
-                           sparql::Endpoint& endpoint) const {
-  Agp agp;
-  agp.pgp = pgp;
-  agp.node_vertices.resize(pgp.nodes().size());
-  agp.edge_predicates.resize(pgp.edges().size());
-
-  LinkNodesBatched(pgp, &agp, endpoint);
-
-  std::vector<size_t> linkable;
-  std::vector<size_t> pending;
-  for (size_t e = 0; e < pgp.edges().size(); ++e) {
-    const qu::Pgp::Edge& edge = pgp.edges()[e];
-    if (agp.node_vertices[edge.a].empty() &&
-        agp.node_vertices[edge.b].empty()) {
-      pending.push_back(e);  // Unknown-unknown edge (path questions).
-    } else {
-      linkable.push_back(e);
-    }
-  }
-  LinkEdgesBatched(&agp, linkable, endpoint);
-
-  // Unknown-unknown edges depend on vertices derived from already-linked
-  // edges, so they stay on the serial per-probe path (they are rare and
-  // small: Sec. 5.2's path questions).
-  for (size_t e : pending) {
-    const qu::Pgp::Edge& edge = pgp.edges()[e];
-    for (size_t node : {edge.a, edge.b}) {
-      if (!agp.node_vertices[node].empty()) continue;
-      DeriveUnknownVertices(&agp, node, endpoint);
-    }
-    agp.edge_predicates[e] = LinkRelation(agp, pgp.edges()[e], e, endpoint);
-  }
-  return agp;
-}
-
 Agp JitLinker::Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const {
-  if (config_->batch_linking) return LinkBatched(pgp, endpoint);
   Agp agp;
   agp.pgp = pgp;
   agp.node_vertices.resize(pgp.nodes().size());

@@ -23,8 +23,6 @@
 #ifndef KGQAN_CORE_LINKER_H_
 #define KGQAN_CORE_LINKER_H_
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,19 +43,9 @@ class JitLinker {
             util::ThreadPool* pool = nullptr, LinkingCache* cache = nullptr)
       : config_(config), affinity_(affinity), pool_(pool), cache_(cache) {}
 
-  // Annotates every node and edge of `pgp` against `endpoint` (Def. 5.3).
-  // With Config::batch_linking set, dispatches to LinkBatched().
+  // Annotates every node and edge of `pgp` against `endpoint` (Def. 5.3),
+  // one endpoint request per probe.
   Agp Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const;
-
-  // Batched Algorithms 1 and 2: the text-containment probes of the node
-  // wave and the outgoing/incoming predicate probes of the edge wave are
-  // folded into combined UNION/VALUES queries of at most
-  // Config::max_batch_size probes each (a discriminator variable
-  // demultiplexes the rows back per probe), so each wave costs
-  // ceil(probes / max_batch_size) endpoint round-trips.  The produced Agp
-  // is byte-identical to the serial path: per-probe row order inside a
-  // batch equals the row order of the probe's own query.
-  Agp LinkBatched(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const;
 
   // Algorithm 1 for a single node: relevant vertices of `label`.
   std::vector<RelevantVertex> LinkEntity(const std::string& label,
@@ -68,10 +56,9 @@ class JitLinker {
   static std::string PotentialRelevantVerticesQuery(const std::string& label,
                                                     size_t max_vr);
 
-  // Ranking half of Algorithm 1, shared by the serial and batched paths
-  // (exposed for tests): scores (vertex IRI, description) result rows
-  // against `label` and keeps the top-k vertices.  The label is embedded
-  // once and each distinct description scored once.
+  // Ranking half of Algorithm 1 (exposed for tests): scores (vertex IRI,
+  // description) result rows against `label` and keeps the top-k vertices.
+  // The label is embedded once and each distinct description scored once.
   std::vector<RelevantVertex> ScoreEntityRows(
       const std::string& label,
       const std::vector<std::pair<std::string, std::string>>& rows) const;
@@ -85,9 +72,6 @@ class JitLinker {
                                               size_t edge_index,
                                               sparql::Endpoint& endpoint) const;
 
-  // Retrieves a human-readable description for predicate `iri`: the IRI's
-  // local name if readable, otherwise a string literal attached to the
-  // predicate vertex itself (the wdg:P227 case of Sec. 5.2).
   // Path support: materializes candidate vertices for an intermediate
   // unknown node from the already-linked edges incident to it, so that
   // unknown-unknown edges can be relation-linked.
@@ -103,28 +87,9 @@ class JitLinker {
   // argument of <bif:contains>.
   static std::string TextContainsExpr(const std::string& label);
 
-  // Returns the predicate IRIs on the outgoing (vertex_is_object false) or
-  // incoming (true) edges of an anchor vertex, in endpoint result order;
-  // nullopt if the lookup failed.
-  using PredicateLookup =
-      std::function<std::optional<std::vector<std::string>>(
-          const std::string& anchor_iri, bool vertex_is_object)>;
-
-  // Ranking half of Algorithm 2, shared by the serial and batched paths:
-  // walks the edge's anchor vertices in order, pulls each anchor's
-  // predicate lists through `lookup`, dedups and scores them.
-  std::vector<RelevantPredicate> AssembleEdgePredicates(
-      const Agp& agp, const qu::Pgp::Edge& edge, sparql::Endpoint& endpoint,
-      const PredicateLookup& lookup) const;
-
-  // Wave halves of LinkBatched: entity probes per distinct node label, then
-  // predicate probes per distinct (anchor vertex, direction) of the given
-  // edges.  Cache hits resolve per probe and shrink the wave.
-  void LinkNodesBatched(const qu::Pgp& pgp, Agp* agp,
-                        sparql::Endpoint& endpoint) const;
-  void LinkEdgesBatched(Agp* agp, const std::vector<size_t>& edge_indices,
-                        sparql::Endpoint& endpoint) const;
-
+  // Retrieves a human-readable description for predicate `iri`: the IRI's
+  // local name if readable, otherwise a string literal attached to the
+  // predicate vertex itself (the wdg:P227 case of Sec. 5.2).
   std::string PredicateDescription(const std::string& iri,
                                    sparql::Endpoint& endpoint) const;
 

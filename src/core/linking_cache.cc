@@ -5,9 +5,7 @@
 namespace kgqan::core {
 
 LinkingCache::LinkingCache(size_t capacity)
-    : vertices_(capacity),
-      descriptions_(capacity),
-      anchor_predicates_(capacity) {
+    : vertices_(capacity), descriptions_(capacity) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_hits_ = &registry.GetCounter("linking_cache.hits");
   metric_misses_ = &registry.GetCounter("linking_cache.misses");
@@ -69,41 +67,18 @@ void LinkingCache::PutPredicateDescription(std::string_view iri,
   RecordEvictions(evictions);
 }
 
-std::optional<std::vector<std::string>> LinkingCache::GetAnchorPredicates(
-    std::string_view iri, bool vertex_is_object, std::string_view kg) const {
-  std::string phrase(iri);
-  phrase.push_back('\x1f');
-  phrase.push_back(vertex_is_object ? 'S' : 'O');
-  auto result = anchor_predicates_.Get(MakeKey(phrase, kg));
-  RecordLookup(result.has_value());
-  return result;
-}
-
-void LinkingCache::PutAnchorPredicates(
-    std::string_view iri, bool vertex_is_object, std::string_view kg,
-    const std::vector<std::string>& predicates) {
-  std::string phrase(iri);
-  phrase.push_back('\x1f');
-  phrase.push_back(vertex_is_object ? 'S' : 'O');
-  size_t evictions = 0;
-  anchor_predicates_.Put(MakeKey(phrase, kg), predicates, &evictions);
-  RecordEvictions(evictions);
-}
-
 LinkingCacheStats LinkingCache::stats() const {
   LinkingCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.entries = vertices_.TotalEntries() + descriptions_.TotalEntries() +
-                  anchor_predicates_.TotalEntries();
+  stats.entries = vertices_.TotalEntries() + descriptions_.TotalEntries();
   return stats;
 }
 
 void LinkingCache::Clear() {
   vertices_.Clear();
   descriptions_.Clear();
-  anchor_predicates_.Clear();
 }
 
 }  // namespace kgqan::core

@@ -69,16 +69,6 @@ class LinkingCache {
   void PutPredicateDescription(std::string_view iri, std::string_view kg,
                                const std::string& description);
 
-  // Anchor mode (batched linking): the distinct predicate IRIs seen on the
-  // outgoing (`vertex_is_object` false) or incoming (true) edges of an
-  // anchor vertex.  Per-probe granularity: cache hits shrink the next
-  // batched wave instead of skipping it wholesale.
-  std::optional<std::vector<std::string>> GetAnchorPredicates(
-      std::string_view iri, bool vertex_is_object, std::string_view kg) const;
-  void PutAnchorPredicates(std::string_view iri, bool vertex_is_object,
-                           std::string_view kg,
-                           const std::vector<std::string>& predicates);
-
   LinkingCacheStats stats() const;
   void Clear();
 
@@ -167,7 +157,6 @@ class LinkingCache {
   // logically read-only to const callers (the linker's const query path).
   mutable ShardedLru<std::vector<RelevantVertex>> vertices_;
   mutable ShardedLru<std::string> descriptions_;
-  mutable ShardedLru<std::vector<std::string>> anchor_predicates_;
   mutable std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> misses_{0};
   mutable std::atomic<size_t> evictions_{0};

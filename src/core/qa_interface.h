@@ -42,8 +42,6 @@ struct QaResponse {
 struct RuntimeCounters {
   size_t linking_cache_hits = 0;
   size_t linking_cache_misses = 0;
-  size_t answer_cache_hits = 0;
-  size_t answer_cache_misses = 0;
 };
 
 class QaSystem {

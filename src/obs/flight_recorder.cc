@@ -68,14 +68,12 @@ void FlightRecorder::DumpChromeJsonl(std::ostream& out) const {
     AppendJsonString(&root_args, record->status);
     root_args += ",\"question\":";
     AppendJsonString(&root_args, record->question);
-    root_args += ",\"canonical_sparql\":";
-    AppendJsonString(&root_args, record->canonical_sparql);
+    root_args += ",\"top_sparql\":";
+    AppendJsonString(&root_args, record->top_sparql);
     root_args += ",\"queue_ms\":" + FormatMs(record->queue_ms) +
                  ",\"total_ms\":" + FormatMs(record->total_ms) +
                  ",\"linking_requests\":" +
-                 std::to_string(record->linking_requests) +
-                 ",\"linking_round_trips\":" +
-                 std::to_string(record->linking_round_trips);
+                 std::to_string(record->linking_requests);
     if (!record->spans.empty()) {
       WriteChromeSpans(record->spans, pid, root_args, out);
     } else {

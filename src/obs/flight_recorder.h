@@ -1,5 +1,5 @@
 // Slow-question flight recorder: a small ring buffer retaining forensic
-// records — span tree, canonical SPARQL, status, timings — for the
+// records — span tree, top SPARQL, status, timings — for the
 // slowest / failed / deadline-exceeded recent questions, so "why was that
 // one question slow?" is answerable on a live server without re-running
 // anything.
@@ -32,9 +32,8 @@ struct FlightRecord {
   std::string status;          // "ok", "deadline_exceeded", "error", ...
   double queue_ms = 0.0;
   double total_ms = 0.0;
-  std::string canonical_sparql;  // Canonical key of the top candidate.
+  std::string top_sparql;       // SPARQL text of the top candidate.
   uint64_t linking_requests = 0;
-  uint64_t linking_round_trips = 0;
   std::vector<SpanRecord> spans;  // Empty when the request was unsampled.
 };
 
@@ -74,8 +73,8 @@ class FlightRecorder {
 
   // Chrome-trace JSONL of every retained record: one "process" per record
   // (pid = retention order, process_name = the question), its span tree as
-  // "X" events, and the record's metadata (trace_id, status, canonical
-  // SPARQL, timings) as args on the root span.  Records captured without
+  // "X" events, and the record's metadata (trace_id, status, top SPARQL,
+  // timings) as args on the root span.  Records captured without
   // spans (unsampled failures) synthesize a single "question" event so
   // they still appear on the timeline.
   void DumpChromeJsonl(std::ostream& out) const;

@@ -43,8 +43,6 @@ std::string_view TraceCounterName(TraceCounter counter) {
   switch (counter) {
     case TraceCounter::kEndpointRequests:
       return "endpoint.requests";
-    case TraceCounter::kEndpointRoundTrips:
-      return "endpoint.round_trips";
     case TraceCounter::kEndpointCancelled:
       return "endpoint.cancelled";
     case TraceCounter::kLinkingCacheHits:

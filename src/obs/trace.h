@@ -56,8 +56,7 @@ uint32_t CurrentThreadIndex();
 // trace.  A fixed enum (not a name→value map) keeps AddCounter a relaxed
 // atomic increment on the endpoint's hot path.
 enum class TraceCounter : size_t {
-  kEndpointRequests = 0,   // Logical SPARQL requests (batch probes count).
-  kEndpointRoundTrips,     // Physical query exchanges.
+  kEndpointRequests = 0,   // SPARQL requests issued.
   kEndpointCancelled,      // Queries dropped by a cancelled/expired token.
   kLinkingCacheHits,
   kLinkingCacheMisses,

@@ -1,29 +1,12 @@
 #include "serve/qa_server.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "obs/exposition.h"
-#include "sparql/canonical.h"
-#include "sparql/parser.h"
 
 namespace kgqan::serve {
-
-namespace {
-
-// The canonical form of the candidate SPARQL, for cross-question
-// correlation in flight records; the raw text stands in when it does not
-// parse (it always should — BgpGenerator rendered it).
-std::string CanonicalSparql(const std::string& sparql_text) {
-  if (sparql_text.empty()) return std::string();
-  auto parsed = sparql::ParseQuery(sparql_text);
-  if (!parsed.ok()) return sparql_text;
-  return sparql::Canonicalize(*parsed).key;
-}
-
-}  // namespace
 
 QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
                    sparql::Endpoint* endpoint, QaServerOptions options)
@@ -206,9 +189,8 @@ void QaServer::MaybeRecordFlight(const QaServerResponse& response,
   record->status = response.deadline_exceeded ? "deadline_exceeded" : "ok";
   record->queue_ms = response.queue_ms;
   record->total_ms = response.total_ms;
-  record->canonical_sparql = CanonicalSparql(response.result.top_sparql);
+  record->top_sparql = response.result.top_sparql;
   record->linking_requests = response.result.linking_requests;
-  record->linking_round_trips = response.result.linking_round_trips;
   if (trace != nullptr && trace->spans_enabled()) {
     record->spans = trace->spans();
   }
@@ -236,13 +218,11 @@ AdminResponse QaServer::HandleAdmin(const std::string& path) const {
         "{\"server\":{\"admitted\":%zu,\"rejected_overloaded\":%zu,"
         "\"rejected_unavailable\":%zu,\"completed\":%zu,"
         "\"deadline_exceeded\":%zu,\"queue_depth\":%zu,"
-        "\"answer_cache_hits\":%zu,\"answer_cache_misses\":%zu,"
         "\"traces_sampled\":%zu,\"flight_records\":%zu},"
         "\"metrics\":",
         server_stats.admitted, server_stats.rejected_overloaded,
         server_stats.rejected_unavailable, server_stats.completed,
         server_stats.deadline_exceeded, server_stats.queue_depth,
-        server_stats.answer_cache_hits, server_stats.answer_cache_misses,
         server_stats.traces_sampled, server_stats.flight_records);
     response.content_type = "application/json; charset=utf-8";
     response.body = buffer;
@@ -277,20 +257,6 @@ QaServerStats QaServer::stats() const {
   stats.deadline_exceeded =
       deadline_exceeded_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.size();
-  // Answer-cache counters: engines may share one cache, so dedup by
-  // pointer before summing.
-  std::vector<const core::AnswerCache*> seen;
-  for (const core::KgqanEngine* engine : engines_) {
-    if (engine == nullptr || engine->answer_cache() == nullptr) continue;
-    const core::AnswerCache* cache = engine->answer_cache().get();
-    if (std::find(seen.begin(), seen.end(), cache) != seen.end()) continue;
-    seen.push_back(cache);
-    core::AnswerCacheStats cache_stats = cache->stats();
-    stats.answer_cache_hits += cache_stats.hits;
-    stats.answer_cache_misses += cache_stats.misses;
-    stats.answer_cache_evictions += cache_stats.evictions;
-    stats.answer_cache_entries += cache_stats.entries;
-  }
   if (sampler_ != nullptr) stats.traces_sampled = sampler_->sampled();
   if (recorder_ != nullptr) stats.flight_records = recorder_->recorded();
   return stats;

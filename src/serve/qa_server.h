@@ -109,12 +109,6 @@ struct QaServerResponse {
 // Cumulative counters since construction.  After Drain():
 //   submitted == admitted + rejected_overloaded + rejected_unavailable
 //   admitted  == completed   (no request is lost or duplicated)
-//
-// The answer-cache counters aggregate over the *distinct* caches of the
-// server's engines (engines sharing one cache — the recommended
-// multi-engine setup, see KgqanEngine's shared-cache constructor — are
-// counted once); all zero when answer caching is disabled.  They are
-// cumulative since cache construction, which may predate the server.
 struct QaServerStats {
   size_t admitted = 0;
   size_t rejected_overloaded = 0;
@@ -122,12 +116,8 @@ struct QaServerStats {
   size_t completed = 0;
   size_t deadline_exceeded = 0;  // Subset of completed.
   size_t queue_depth = 0;        // Instantaneous.
-  size_t answer_cache_hits = 0;
-  size_t answer_cache_misses = 0;
-  size_t answer_cache_evictions = 0;
-  size_t answer_cache_entries = 0;  // Instantaneous.
-  size_t traces_sampled = 0;        // Requests upgraded to full span trees.
-  size_t flight_records = 0;        // Records admitted by the recorder.
+  size_t traces_sampled = 0;     // Requests upgraded to full span trees.
+  size_t flight_records = 0;     // Records admitted by the recorder.
 };
 
 class QaServer {

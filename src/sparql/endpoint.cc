@@ -39,16 +39,11 @@ Endpoint::Endpoint(std::string name, rdf::Graph graph)
       }()) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   metric_requests_ = &registry.GetCounter("endpoint.requests");
-  metric_round_trips_ = &registry.GetCounter("endpoint.round_trips");
   metric_errors_ = &registry.GetCounter("endpoint.errors");
   metric_cancelled_ = &registry.GetCounter("endpoint.cancelled");
   metric_query_latency_ms_ =
       &registry.GetHistogram("endpoint.query_latency_ms");
   PublishStoreGauges();
-}
-
-util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
-  return QueryBatch(sparql, 1);
 }
 
 bool Endpoint::SleepInjectedLatency() const {
@@ -73,24 +68,20 @@ void Endpoint::RecordCancelled() {
   }
 }
 
-util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
-                                               size_t num_probes) {
+util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
   // Fail fast on an expired request: the query never leaves the client,
-  // so neither query_count nor round_trips move.
+  // so query_count does not move.
   if (util::Cancelled()) {
     RecordCancelled();
     return util::Status::DeadlineExceeded("query dropped: deadline expired");
   }
-  query_count_.fetch_add(num_probes, std::memory_order_relaxed);
-  round_trips_.fetch_add(1, std::memory_order_relaxed);
-  metric_requests_->Add(num_probes);
-  metric_round_trips_->Add(1);
+  query_count_.fetch_add(1, std::memory_order_relaxed);
+  metric_requests_->Add(1);
   // Attribute the traffic to the calling thread's question, not just the
   // global counters: this is what keeps per-question counts exact when
   // several questions share the endpoint concurrently.
   if (obs::Trace* trace = obs::CurrentTrace()) {
-    trace->AddCounter(obs::TraceCounter::kEndpointRequests, num_probes);
-    trace->AddCounter(obs::TraceCounter::kEndpointRoundTrips, 1);
+    trace->AddCounter(obs::TraceCounter::kEndpointRequests, 1);
   }
   obs::ScopedSpan span("sparql.query");
   if (span.recording()) {
@@ -118,9 +109,6 @@ util::StatusOr<ResultSet> Endpoint::QueryBatch(std::string_view sparql,
   metric_query_latency_ms_->Record(span.watch().ElapsedMillis());
   if (result.ok()) {
     if (span.recording()) {
-      if (num_probes > 1) {
-        span.AddAttribute("probes", std::to_string(num_probes));
-      }
       span.AddAttribute("rows", std::to_string(result->is_ask()
                                                    ? size_t{result->ask_value()}
                                                    : result->NumRows()));

@@ -4,8 +4,8 @@
 //
 // An `Endpoint` serves one KG from one TripleStore plus its built-in
 // full-text index — the standard, unmodified installation of Sec. 7.1.4 —
-// and owns parsing, the data lock, the request/round-trip/error
-// accounting, tracing, cancellation and injected-latency behavior.
+// and owns parsing, the data lock, the request/error accounting,
+// tracing, cancellation and injected-latency behavior.
 //
 // Thread-safety: Query() may be called concurrently from any number of
 // threads (the store, text index and evaluator are read-only on the query
@@ -16,16 +16,16 @@
 //
 // Observability: besides the global per-endpoint counters, every query is
 // attributed to the calling thread's active obs::Trace (exact per-question
-// request/round-trip counts under concurrency), recorded as a span when
-// the trace collects spans, and fed into the process-wide metrics registry
-// (request counters and a query-latency histogram).
+// request counts under concurrency), recorded as a span when the trace
+// collects spans, and fed into the process-wide metrics registry (request
+// counters and a query-latency histogram).
 //
-// Cancellation: Query()/QueryBatch() poll the calling thread's
-// util::CancelToken.  An already-expired token fails fast with
-// DeadlineExceeded before any exchange is counted; a token expiring during
-// the (injected) exchange latency aborts the wait and skips evaluation.
+// Cancellation: Query() polls the calling thread's util::CancelToken.  An
+// already-expired token fails fast with DeadlineExceeded before any
+// exchange is counted; a token expiring during the (injected) exchange
+// latency aborts the wait and skips evaluation.
 // Cancelled queries count in the serve-side cancellation metrics, never in
-// query_count()/round_trips() unless the exchange was actually issued.
+// query_count() unless the exchange was actually issued.
 //
 // Testing: set_injected_latency_ms() adds an artificial delay to every
 // query, simulating the network round-trip of a remote public endpoint
@@ -65,15 +65,6 @@ class Endpoint {
   // Parses and evaluates a SPARQL request.  Safe to call concurrently.
   util::StatusOr<ResultSet> Query(std::string_view sparql);
 
-  // Parses and evaluates a *batched* SPARQL request: one query text that
-  // folds `num_probes` logical sub-queries (UNION/VALUES branches) into a
-  // single HTTP-equivalent exchange.  Counts `num_probes` requests in
-  // query_count() — so eval/report tables stay comparable with the
-  // per-probe path — but only one round trip in round_trips().  Safe to
-  // call concurrently.
-  util::StatusOr<ResultSet> QueryBatch(std::string_view sparql,
-                                       size_t num_probes);
-
   // Loads additional data into the KG from N-Triples text (live updates to
   // the endpoint).  The store merges the new triples in place and the
   // full-text index adds only the literals they introduce, so the cost
@@ -94,19 +85,12 @@ class Endpoint {
   const store::TripleStore& store() const { return store_; }
   const text::TextIndex& text_index() const { return text_index_; }
 
-  // Request statistics.  query_count counts logical SPARQL requests (each
-  // sub-query of a batch counts as one), round_trips counts physical
-  // query exchanges (a whole batch counts as one).
+  // Request statistics: query_count counts the SPARQL requests issued,
+  // one per Query() call that got past the deadline check.
   size_t query_count() const {
     return query_count_.load(std::memory_order_relaxed);
   }
-  size_t round_trips() const {
-    return round_trips_.load(std::memory_order_relaxed);
-  }
-  void ResetStats() {
-    query_count_.store(0, std::memory_order_relaxed);
-    round_trips_.store(0, std::memory_order_relaxed);
-  }
+  void ResetStats() { query_count_.store(0, std::memory_order_relaxed); }
 
   // Monotonic data version, bumped by every successful AddNTriples.
   size_t generation() const {
@@ -148,12 +132,10 @@ class Endpoint {
   // Process-wide registry metrics (resolved once; registry entries are
   // never erased, so the pointers stay valid).
   obs::Counter* metric_requests_;
-  obs::Counter* metric_round_trips_;
   obs::Counter* metric_errors_;
   obs::Counter* metric_cancelled_;
   obs::Histogram* metric_query_latency_ms_;
   std::atomic<size_t> query_count_{0};
-  std::atomic<size_t> round_trips_{0};
   std::atomic<size_t> cancelled_count_{0};
   std::atomic<int64_t> injected_latency_us_{0};
   std::atomic<size_t> generation_{0};

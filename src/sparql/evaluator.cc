@@ -267,8 +267,8 @@ class Evaluator {
 
     // 1b. Inline VALUES bindings.  Terms that do not occur in the KG are
     // interned into a query-local overlay dictionary: per SPARQL semantics
-    // they still bind (e.g. batch-query discriminator values), they simply
-    // can never join a stored triple.
+    // they still bind (e.g. a VALUES row naming an IRI absent from the
+    // KG), they simply can never join a stored triple.
     for (const InlineValues& iv : group.values) {
       size_t slot = slots_.SlotOf(iv.var.name);
       std::vector<TermId> ids;

@@ -49,17 +49,6 @@ class ResultSet {
   // All bound values of column `col`, in row order.
   std::vector<rdf::Term> ColumnValues(size_t col) const;
 
-  // Copy of this result with the columns renamed positionally
-  // (pre-condition: names.size() == NumColumns()).  The answer cache uses
-  // this to translate between canonical and per-query variable names.
-  ResultSet WithColumns(std::vector<std::string> names) const {
-    ResultSet out(std::move(names));
-    out.rows_ = rows_;
-    out.is_ask_ = is_ask_;
-    out.ask_value_ = ask_value_;
-    return out;
-  }
-
   // Tab-separated rendering with a header line (debugging / examples).
   std::string ToTsv() const;
 

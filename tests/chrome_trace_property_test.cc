@@ -290,7 +290,7 @@ TEST(ChromeTracePropertyTest, FlightDumpSurvivesArbitraryBytes) {
       record->trace_id = rng.Next();
       record->question = RandomBytes(rng);
       record->status = RandomBytes(rng);
-      record->canonical_sparql = RandomBytes(rng);
+      record->top_sparql = RandomBytes(rng);
       record->total_ms = static_cast<double>(rng.UniformInt(0, 10'000));
       if (rng.UniformInt(0, 1) == 0) {
         Trace trace(Trace::Mode::kFull);

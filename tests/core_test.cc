@@ -135,6 +135,44 @@ TEST_F(CoreTest, LinkAnnotatesNodesAndEdges) {
   EXPECT_EQ(agp.edge_predicates[1][0].iri, O("nearestCity"));
 }
 
+// Two people and a city, with human-readable predicate IRIs so relation
+// linking never issues description lookups: endpoint traffic is exactly
+// the text probe plus the per-(anchor, direction) predicate probes.
+Graph TinyKg() {
+  Graph g;
+  g.AddIri("http://kg/Alice", "http://kg/label", StringLiteral("alice smith"));
+  g.AddIri("http://kg/Bob", "http://kg/label", StringLiteral("bob jones"));
+  g.AddIri("http://kg/Paris", "http://kg/label", StringLiteral("paris city"));
+  g.AddIris("http://kg/Alice", "http://kg/birthPlace", "http://kg/Paris");
+  g.AddIris("http://kg/Alice", "http://kg/friendOf", "http://kg/Bob");
+  g.AddIris("http://kg/Bob", "http://kg/friendOf", "http://kg/Alice");
+  return g;
+}
+
+TEST(JitLinkerTest, OneRequestPerProbeOnTinyKg) {
+  sparql::Endpoint endpoint("tiny", TinyKg());
+  KgqanConfig config;
+  config.linking_cache_capacity = 0;
+  embed::SemanticAffinity affinity(config.affinity_mode);
+  JitLinker linker(&config, &affinity);
+  qu::Pgp pgp = qu::Pgp::Build({qu::PhraseTriple{
+      qu::Unknown(1), "birth place", qu::EntityPhrase("alice smith")}});
+
+  // One node probe ("alice smith" -> Alice) plus Alice's outgoing and
+  // incoming predicate probes.
+  const size_t before = endpoint.query_count();
+  Agp agp = linker.Link(pgp, endpoint);
+  EXPECT_EQ(endpoint.query_count() - before, 3u);
+  ASSERT_EQ(agp.node_vertices.size(), 2u);
+  bool found_alice = false;
+  for (const auto& vertices : agp.node_vertices) {
+    for (const RelevantVertex& rv : vertices) {
+      if (rv.iri == "http://kg/Alice") found_alice = true;
+    }
+  }
+  EXPECT_TRUE(found_alice);
+}
+
 TEST_F(CoreTest, BgpGenerationProducesRankedQueries) {
   qu::TriplePatterns tps = {
       {qu::Unknown(1, "sea"), "flows", qu::EntityPhrase("Danish Straits")}};

@@ -74,8 +74,11 @@ TEST(DeadlineTest, NearZeroDeadlineFailsPromptly) {
   EXPECT_TRUE(response->result.deadline_exceeded);
   EXPECT_TRUE(response->result.response.answers.empty());
   // Prompt: one in-flight exchange may run to its 50 ms sleep boundary,
-  // but nothing close to the multi-exchange full pipeline.
-  EXPECT_LT(response->total_ms, 75.0);
+  // but nothing close to the multi-exchange full pipeline.  Counted in
+  // exchanges rather than wall time: with one engine thread the expired
+  // deadline ends the first exchange, and every later Query() is dropped
+  // before it is counted.
+  EXPECT_LE(endpoint.query_count(), 1u);
   EXPECT_EQ(server.stats().deadline_exceeded, 1u);
   server.Shutdown();
 }

@@ -2,7 +2,8 @@
 // (format checker included), head-sampled tracing, the slow-question
 // flight recorder, EXPLAIN ANALYZE operator stats, and the QaServer admin
 // endpoints — including the acceptance scenario: a deadline-exceeded
-// question retrievable from /slow with its span tree and canonical SPARQL.
+// question retrievable from /slow with its span tree and the SPARQL of its
+// top candidate.
 
 #include <gtest/gtest.h>
 
@@ -477,14 +478,14 @@ TEST(FlightRecorderTest, ChromeJsonlIsValidAndCarriesMetadata) {
   record->question = "why \"slow\"?\n";  // Needs escaping.
   record->status = "deadline_exceeded";
   record->total_ms = 321.5;
-  record->canonical_sparql = "SELECT ?x WHERE { ?x <p> <o> }";
+  record->top_sparql = "SELECT ?x WHERE { ?x <p> <o> }";
   recorder.Record(record);
 
   std::string jsonl = recorder.ChromeJsonl();
   ExpectValidJsonLines(jsonl);
   EXPECT_NE(jsonl.find("abcdef0123456789"), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("deadline_exceeded"), std::string::npos);
-  EXPECT_NE(jsonl.find("canonical_sparql"), std::string::npos);
+  EXPECT_NE(jsonl.find("top_sparql"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -653,7 +654,7 @@ TEST(AdminPlaneTest, StatsCountersTrackSamplingAndRecording) {
     if (!record->spans.empty()) {
       ++with_spans;
       EXPECT_NE(record->trace_id, 0u);
-      EXPECT_FALSE(record->canonical_sparql.empty());
+      EXPECT_FALSE(record->top_sparql.empty());
     }
   }
   EXPECT_EQ(with_spans, 2u);
@@ -662,31 +663,31 @@ TEST(AdminPlaneTest, StatsCountersTrackSamplingAndRecording) {
 
 // The acceptance scenario: a deadline-exceeded question must be
 // retrievable from the flight recorder (and /slow) with a span tree and
-// the canonical SPARQL of its top candidate.  Timing-dependent, so the
+// the SPARQL of its top candidate.  Timing-dependent, so the
 // deadline is derived from a measured run and retried across offsets
 // until the expiry lands after BGP generation (top candidate known) —
 // the same retry idiom as DeadlineTest.ShardedEvaluationCancelsMidScan.
 TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
   const std::string question = "Who is the spouse of Barack Obama?";
 
-  // Measure the linking round trips on a latency-free endpoint: the count
+  // Measure the linking requests on a latency-free endpoint: the count
   // is latency-independent, and with per-exchange injected latency L the
-  // pipeline reaches BGP generation at ~round_trips * L.
-  size_t round_trips = 0;
+  // pipeline reaches BGP generation at ~requests * L.
+  size_t requests = 0;
   {
     sparql::Endpoint endpoint("mini", MiniKg());
     core::KgqanEngine engine(ServingConfig());
     core::KgqanResult result = engine.AnswerFull(question, endpoint);
     ASSERT_TRUE(result.response.understood);
-    round_trips = result.linking_round_trips;
-    ASSERT_GT(round_trips, 0u);
+    requests = result.linking_requests;
+    ASSERT_GT(requests, 0u);
   }
 
   constexpr double kLatencyMs = 25.0;
   bool found = false;
   for (int attempt = 0; attempt < 6 && !found; ++attempt) {
     // Walk the expiry point across the first candidate executions.
-    double deadline_ms = static_cast<double>(round_trips) * kLatencyMs +
+    double deadline_ms = static_cast<double>(requests) * kLatencyMs +
                          kLatencyMs * (0.5 + attempt);
     sparql::Endpoint endpoint("mini", MiniKg());
     endpoint.set_injected_latency_ms(kLatencyMs);
@@ -699,7 +700,7 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
     ASSERT_NE(server.flight_recorder(), nullptr);
     for (const auto& record : server.flight_recorder()->Snapshot()) {
       if (record->status != "deadline_exceeded") continue;
-      if (record->spans.empty() || record->canonical_sparql.empty()) continue;
+      if (record->spans.empty() || record->top_sparql.empty()) continue;
       found = true;
       EXPECT_NE(record->trace_id, 0u);
       EXPECT_EQ(record->question, question);
@@ -709,8 +710,8 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
         if (span.name == "question") has_root = true;
       }
       EXPECT_TRUE(has_root);
-      EXPECT_NE(record->canonical_sparql.find("SELECT"), std::string::npos)
-          << record->canonical_sparql;
+      EXPECT_NE(record->top_sparql.find("SELECT"), std::string::npos)
+          << record->top_sparql;
       // And it is served through /slow.
       std::string slow = server.HandleAdmin("/slow").body;
       ExpectValidJsonLines(slow);

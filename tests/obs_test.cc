@@ -259,8 +259,6 @@ TEST(TraceTest, ScopedContextRebindsAndRestores) {
 TEST(TraceCounterTest, NamesAreStable) {
   EXPECT_EQ(TraceCounterName(TraceCounter::kEndpointRequests),
             "endpoint.requests");
-  EXPECT_EQ(TraceCounterName(TraceCounter::kEndpointRoundTrips),
-            "endpoint.round_trips");
   EXPECT_EQ(TraceCounterName(TraceCounter::kLinkingCacheHits),
             "linking_cache.hits");
   EXPECT_EQ(TraceCounterName(TraceCounter::kLinkingCacheMisses),

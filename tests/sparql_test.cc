@@ -324,27 +324,12 @@ TEST_F(EvalTest, QueryCountIncrements) {
   (void)endpoint_.Query("ASK { ?s ?p ?o . }");
   (void)endpoint_.Query("ASK { ?s ?p ?o . }");
   EXPECT_EQ(endpoint_.query_count(), 2u);
-  // Each plain Query is one physical exchange.
-  EXPECT_EQ(endpoint_.round_trips(), 2u);
-}
-
-TEST_F(EvalTest, QueryBatchCountsProbesButOneRoundTrip) {
-  endpoint_.ResetStats();
-  (void)endpoint_.QueryBatch("ASK { ?s ?p ?o . }", 5);
-  EXPECT_EQ(endpoint_.query_count(), 5u);
-  EXPECT_EQ(endpoint_.round_trips(), 1u);
-  (void)endpoint_.Query("ASK { ?s ?p ?o . }");
-  EXPECT_EQ(endpoint_.query_count(), 6u);
-  EXPECT_EQ(endpoint_.round_trips(), 2u);
-  endpoint_.ResetStats();
-  EXPECT_EQ(endpoint_.query_count(), 0u);
-  EXPECT_EQ(endpoint_.round_trips(), 0u);
 }
 
 TEST_F(EvalTest, ValuesBindsTermsAbsentFromTheStore) {
-  // Batched linking demultiplexes rows via integer VALUES discriminators
-  // that do not occur in the KG: the evaluator must bind them from its
-  // query-local overlay dictionary rather than dropping the rows.
+  // Per SPARQL semantics a VALUES term binds even when it does not occur
+  // in the KG: the evaluator must bind it from its query-local overlay
+  // dictionary rather than dropping the rows.
   auto rs = endpoint_.Query(
       "SELECT ?probe ?s WHERE { VALUES ?probe { 7 } ?s <http://x/outflow> "
       "<http://x/baltic> . }");
