@@ -39,13 +39,18 @@ bool Filtration::SemanticTypeMatches(const CandidateAnswer& answer,
                                      const std::string& semantic_type) const {
   if (answer.class_iris.empty()) return true;  // No class info: keep.
   if (semantic_type.empty() || semantic_type == "entity") return true;
-  const embed::SemanticAffinity::Phrase type =
-      affinity_->Prepare(semantic_type);
+  // Semantic types and class labels come from small vocabularies, so both
+  // go through the affinity's prepared-phrase memo.
+  embed::SemanticAffinity::Phrase type_scratch;
+  embed::SemanticAffinity::Phrase label_scratch;
+  const embed::SemanticAffinity::Phrase& type =
+      affinity_->Prepared(semantic_type, &type_scratch);
   double best = 0.0;
   for (const std::string& class_iri : answer.class_iris) {
     std::string label = util::Join(
         util::SplitIdentifierWords(rdf::IriLocalName(class_iri)), " ");
-    best = std::max(best, affinity_->Score(type, affinity_->Prepare(label)));
+    best = std::max(best, affinity_->Score(
+                              type, affinity_->Prepared(label, &label_scratch)));
   }
   return best >= config_->semantic_type_threshold;
 }

@@ -93,7 +93,8 @@ std::vector<RelevantVertex> JitLinker::LinkEntityUncached(
   auto v_col = rs->ColumnIndex("v");
   auto d_col = rs->ColumnIndex("d");
   if (!v_col.has_value() || !d_col.has_value()) return out;
-  std::vector<std::pair<std::string, std::string>> rows;
+  // Views into the result set, which outlives the scoring.
+  std::vector<std::pair<std::string_view, std::string_view>> rows;
   rows.reserve(rs->NumRows());
   for (size_t r = 0; r < rs->NumRows(); ++r) {
     const auto& v = rs->At(r, *v_col);
@@ -107,21 +108,26 @@ std::vector<RelevantVertex> JitLinker::LinkEntityUncached(
 
 std::vector<RelevantVertex> JitLinker::ScoreEntityRows(
     const std::string& label,
-    const std::vector<std::pair<std::string, std::string>>& rows) const {
+    const std::vector<std::pair<std::string_view, std::string_view>>& rows)
+    const {
   // Best affinity per vertex across its descriptions.  The label is
-  // embedded once per probe, and each distinct description once: probes
-  // often return the same literal under several predicates or vertices.
-  std::unordered_map<std::string, double> best;
+  // embedded once per probe, each distinct description scored once per
+  // probe (probes often return the same literal under several predicates
+  // or vertices) and prepared once per affinity object via its memo.
+  // `best` hashes and orders its keys as a std::string map would, so ties
+  // keep their rank.
+  std::unordered_map<std::string_view, double> best;
   {
     obs::ScopedSpan span("linking.affinity");
     const embed::SemanticAffinity::Phrase prepared_label =
         affinity_->Prepare(label);
+    embed::SemanticAffinity::Phrase scratch;
     std::unordered_map<std::string_view, double> by_description;
     for (const auto& [v_iri, d_value] : rows) {
       auto [memo, fresh] = by_description.emplace(d_value, 0.0);
       if (fresh) {
-        memo->second = affinity_->NormalizedScore(prepared_label,
-                                                  affinity_->Prepare(d_value));
+        memo->second = affinity_->NormalizedScore(
+            prepared_label, affinity_->Prepared(d_value, &scratch));
       }
       const double score = memo->second;
       auto [it, inserted] = best.emplace(v_iri, score);
@@ -131,7 +137,7 @@ std::vector<RelevantVertex> JitLinker::ScoreEntityRows(
   std::vector<RelevantVertex> out;
   out.reserve(best.size());
   for (const auto& [iri, score] : best) {
-    out.push_back(RelevantVertex{iri, score});
+    out.push_back(RelevantVertex{std::string(iri), score});
   }
   KeepTopK(out, config_->top_k_vertices);
   return out;
@@ -236,9 +242,10 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
     obs::ScopedSpan affinity_span("linking.affinity");
     const embed::SemanticAffinity::Phrase prepared_label =
         affinity_->Prepare(edge.label);
+    embed::SemanticAffinity::Phrase scratch;
     for (auto& [score, description] : unscored) {
-      *score = affinity_->NormalizedScore(prepared_label,
-                                          affinity_->Prepare(description));
+      *score = affinity_->NormalizedScore(
+          prepared_label, affinity_->Prepared(description, &scratch));
     }
   }
   for (RelevantPredicate& rp : out) rp.score = scores[rp.iri];

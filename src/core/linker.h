@@ -24,6 +24,7 @@
 #define KGQAN_CORE_LINKER_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -61,7 +62,8 @@ class JitLinker {
   // The label is embedded once and each distinct description scored once.
   std::vector<RelevantVertex> ScoreEntityRows(
       const std::string& label,
-      const std::vector<std::pair<std::string, std::string>>& rows) const;
+      const std::vector<std::pair<std::string_view, std::string_view>>& rows)
+      const;
 
   // Algorithm 2 for a single edge.  Public so that baselines with their
   // own entity-linking indexes (EDGQA's BERT-ranked relation linking is

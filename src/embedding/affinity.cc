@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "text/tokenizer.h"
 
@@ -26,6 +27,30 @@ SemanticAffinity::Phrase SemanticAffinity::Prepare(
   }
   out.self_score_ = Score(out, out);
   return out;
+}
+
+const SemanticAffinity::Phrase& SemanticAffinity::Prepared(
+    std::string_view phrase, Phrase* scratch) const {
+  MemoShard& shard = memo_[TextHash{}(phrase) % kMemoShards];
+  {
+    std::shared_lock<std::shared_mutex> lock(shard.mutex);
+    auto it = shard.phrases.find(phrase);
+    if (it != shard.phrases.end()) return it->second;
+  }
+  // Prepare outside the lock: two threads may prepare the same phrase;
+  // the first insert wins and both results are identical.
+  *scratch = Prepare(phrase);
+  if (memo_size() >= kPhraseMemoCapacity) return *scratch;
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
+  auto it = shard.phrases.find(phrase);
+  if (it != shard.phrases.end()) return it->second;
+  // Claim a slot; a full memo leaves the phrase in `*scratch`.
+  size_t size = memo_size_.load();
+  do {
+    if (size >= kPhraseMemoCapacity) return *scratch;
+  } while (!memo_size_.compare_exchange_weak(size, size + 1));
+  return shard.phrases.emplace(std::string(phrase), std::move(*scratch))
+      .first->second;
 }
 
 double SemanticAffinity::Score(const Phrase& a, const Phrase& b) const {

@@ -12,12 +12,26 @@
 // phrase is tokenized and embedded once, its token norms and its Eq. 1
 // self-score are kept, and each pair then costs only the cross-pair dot
 // products.
+//
+// KG literals recur across probes and questions, so Prepared() keeps a
+// memo of prepared phrases keyed by their text, shared by every thread
+// that uses this object.  A prepared phrase depends only on its text, so
+// the memo never needs invalidating when the KG changes.  It holds at most
+// kPhraseMemoCapacity phrases and never evicts one; once full, further
+// phrases are prepared uncached.
 
 #ifndef KGQAN_EMBEDDING_AFFINITY_H_
 #define KGQAN_EMBEDDING_AFFINITY_H_
 
+#include <array>
+#include <atomic>
+#include <cstddef>
+#include <functional>
 #include <memory>
+#include <shared_mutex>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "embedding/char_embedder.h"
@@ -34,6 +48,10 @@ enum class AffinityMode {
 
 class SemanticAffinity {
  public:
+  // Upper bound on the phrases Prepared() keeps (about 10 MB of
+  // fine-grained phrases).
+  static constexpr size_t kPhraseMemoCapacity = size_t{1} << 16;
+
   // A phrase tokenized and embedded once, ready to be scored against many
   // others.  Its token vectors point into the embedder caches of the
   // SemanticAffinity that prepared it, so it must not outlive that object.
@@ -65,6 +83,16 @@ class SemanticAffinity {
   // token) and computes its self-score.
   Phrase Prepare(std::string_view phrase) const;
 
+  // Prepare(phrase), memoized: returns the memo's entry for `phrase`,
+  // adding it on first use; the reference stays valid for the life of
+  // this object.  When the memo is full and `phrase` is not in it, the
+  // phrase is prepared into `*scratch` and `*scratch` is returned.  Safe to
+  // call concurrently.
+  const Phrase& Prepared(std::string_view phrase, Phrase* scratch) const;
+
+  // Number of phrases in the memo; never above kPhraseMemoCapacity.
+  size_t memo_size() const { return memo_size_.load(); }
+
   // Raw Eq. 1 score in [0, 1]; higher = semantically closer.  Negative
   // cosines are clamped to 0 so unrelated pairs do not drag multi-word
   // scores below zero.
@@ -87,10 +115,27 @@ class SemanticAffinity {
   const SubwordEmbedder& word_model() const { return words_; }
 
  private:
+  // Heterogeneous hashing, so a lookup by string_view allocates nothing.
+  struct TextHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  struct MemoShard {
+    std::shared_mutex mutex;
+    // Node-based: references to entries survive rehashing.
+    std::unordered_map<std::string, Phrase, TextHash, std::equal_to<>>
+        phrases;
+  };
+  static constexpr size_t kMemoShards = 16;
+
   AffinityMode mode_;
   SubwordEmbedder words_;
   CharEmbedder chars_;
   SentenceEmbedder sentences_;
+  mutable std::array<MemoShard, kMemoShards> memo_;
+  mutable std::atomic<size_t> memo_size_{0};
 };
 
 }  // namespace kgqan::embed

@@ -98,7 +98,10 @@ util::StatusOr<ResultSet> Endpoint::Query(std::string_view sparql) {
     RecordCancelled();
     return util::Status::DeadlineExceeded("query abandoned: deadline expired");
   }
-  util::StatusOr<sparql::Query> parsed = ParseQuery(sparql);
+  util::StatusOr<sparql::Query> parsed = [&] {
+    obs::ScopedSpan parse_span("sparql.parse");
+    return ParseQuery(sparql);
+  }();
   util::StatusOr<ResultSet> result = parsed.status();
   if (parsed.ok()) {
     // Shared lock: the store and text index are read-only during

@@ -9,6 +9,9 @@
 //    literals for random indexes and random bif:contains queries.
 //  * JitLinker::ScoreEntityRows, which memoizes per distinct description,
 //    must equal the unmemoized ranking on rows with repeated descriptions.
+//  * Scores through SemanticAffinity's prepared-phrase memo must equal the
+//    Prepare() path and the oracle, in both modes, below and past the
+//    memo's capacity, and when several threads fill the memo at once.
 //
 // The binary has its own main: `--seed=N` (or the KGQAN_PROPERTY_SEED
 // environment variable) reseeds the generator, so CI can rotate seeds and
@@ -21,10 +24,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -367,13 +373,163 @@ TEST(AffinityPropertyTest, ScoreEntityRowsEqualsUnmemoizedRanking) {
     }
 
     SCOPED_TRACE(Repro(round) + " label '" + label + "'");
-    std::vector<core::RelevantVertex> got = linker.ScoreEntityRows(label, rows);
+    const std::vector<std::pair<std::string_view, std::string_view>> row_views(
+        rows.begin(), rows.end());
+    std::vector<core::RelevantVertex> got =
+        linker.ScoreEntityRows(label, row_views);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].iri, expected[i].iri) << "rank " << i;
       EXPECT_EQ(got[i].score, expected[i].score) << "rank " << i;
     }
   }
+}
+
+TEST(AffinityPropertyTest, MemoizedScoresEqualPreparePathAndOracle) {
+  for (AffinityMode mode :
+       {AffinityMode::kFineGrained, AffinityMode::kCoarseGrained}) {
+    SemanticAffinity affinity(mode);
+    ReferenceAffinity oracle(mode);
+    PhraseGen gen(g_property_seed ^ 0x3E30ull ^ static_cast<uint64_t>(mode));
+    // A small pool, so most lookups hit phrases memoized earlier.
+    std::vector<std::string> pool;
+    for (int i = 0; i < 40; ++i) pool.push_back(gen.Phrase());
+    for (int round = 0; round < 400; ++round) {
+      const std::string a = gen.rng().Bernoulli(0.8) ? gen.rng().PickOne(pool)
+                                                     : gen.Phrase();
+      const std::string b = gen.rng().Bernoulli(0.1) ? a
+                                                     : gen.rng().PickOne(pool);
+      SCOPED_TRACE(Repro(round) + " mode " +
+                   std::to_string(static_cast<int>(mode)) + " a='" + a +
+                   "' b='" + b + "'");
+      SemanticAffinity::Phrase scratch_a;
+      SemanticAffinity::Phrase scratch_b;
+      const SemanticAffinity::Phrase& ma = affinity.Prepared(a, &scratch_a);
+      const SemanticAffinity::Phrase& mb = affinity.Prepared(b, &scratch_b);
+      // Below capacity every phrase lives in the memo, once.
+      EXPECT_NE(&ma, &scratch_a);
+      EXPECT_NE(&mb, &scratch_b);
+      EXPECT_EQ(&affinity.Prepared(a, &scratch_b), &ma);
+      const SemanticAffinity::Phrase pa = affinity.Prepare(a);
+      const SemanticAffinity::Phrase pb = affinity.Prepare(b);
+      EXPECT_EQ(affinity.NormalizedScore(ma, mb),
+                affinity.NormalizedScore(pa, pb));
+      EXPECT_EQ(affinity.NormalizedScore(ma, mb),
+                oracle.NormalizedScore(a, b));
+      EXPECT_EQ(affinity.Score(ma, mb), oracle.Score(a, b));
+      EXPECT_EQ(affinity.Score(ma, ma), oracle.Score(a, a));
+    }
+    EXPECT_LE(affinity.memo_size(), pool.size() + 400);
+  }
+}
+
+TEST(AffinityPropertyTest, MemoStopsAtCapacityAndScoresStayIdentical) {
+  SemanticAffinity affinity;
+  ReferenceAffinity oracle(AffinityMode::kFineGrained);
+  util::Rng rng(g_property_seed ^ 0xCA9Aull);
+  // Two-word phrases over a 300-token vocabulary: 90,000 distinct texts
+  // from only 300 word embeddings.
+  std::vector<std::string> vocab;
+  const Lexicon& lexicon = DefaultLexicon();
+  for (size_t i = 0; i < lexicon.num_clusters(); ++i) {
+    vocab.push_back(lexicon.ClusterName(static_cast<int>(i)));
+  }
+  for (int i = 0; vocab.size() < 300; ++i) {
+    vocab.push_back(std::to_string(i) + "w");
+  }
+  auto phrase = [&](size_t i) {
+    return vocab[i % vocab.size()] + " " + vocab[i / vocab.size()];
+  };
+  constexpr size_t kCapacity = SemanticAffinity::kPhraseMemoCapacity;
+  ASSERT_GT(vocab.size() * vocab.size(), kCapacity + 1000);
+
+  SemanticAffinity::Phrase scratch;
+  const SemanticAffinity::Phrase& first =
+      affinity.Prepared(phrase(0), &scratch);
+  for (size_t i = 1; i < kCapacity + 1000; ++i) {
+    affinity.Prepared(phrase(i), &scratch);
+  }
+  EXPECT_EQ(affinity.memo_size(), kCapacity);
+  // Memoized entries never move or go.
+  EXPECT_EQ(&affinity.Prepared(phrase(0), &scratch), &first);
+
+  for (int round = 0; round < 200; ++round) {
+    // Half memoized, half past the capacity (prepared into the scratch).
+    const size_t i = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kCapacity) - 1));
+    const size_t j = static_cast<size_t>(rng.UniformInt(
+        static_cast<int64_t>(kCapacity) + 1000,
+        static_cast<int64_t>(vocab.size() * vocab.size()) - 1));
+    const std::string a = phrase(i);
+    const std::string b = phrase(j);
+    SCOPED_TRACE(Repro(round) + " a='" + a + "' b='" + b + "'");
+    SemanticAffinity::Phrase scratch_a;
+    SemanticAffinity::Phrase scratch_b;
+    const SemanticAffinity::Phrase& ma = affinity.Prepared(a, &scratch_a);
+    const SemanticAffinity::Phrase& mb = affinity.Prepared(b, &scratch_b);
+    EXPECT_NE(&ma, &scratch_a);
+    EXPECT_EQ(&mb, &scratch_b);
+    EXPECT_EQ(affinity.NormalizedScore(ma, mb),
+              affinity.NormalizedScore(affinity.Prepare(a),
+                                       affinity.Prepare(b)));
+    EXPECT_EQ(affinity.NormalizedScore(ma, mb), oracle.NormalizedScore(a, b));
+    EXPECT_EQ(affinity.Score(mb, mb), oracle.Score(b, b));
+  }
+  EXPECT_EQ(affinity.memo_size(), kCapacity);
+}
+
+// Labelled `concurrency` (the binary's labels) so the TSan job runs it.
+TEST(AffinityPropertyTest, ConcurrentMemoScoresEqualSerialRun) {
+  constexpr int kThreads = 4;
+  constexpr int kPairsPerThread = 300;
+  PhraseGen gen(g_property_seed ^ 0xC0C0ull);
+  std::vector<std::string> pool;
+  for (int i = 0; i < 60; ++i) pool.push_back(gen.Phrase());
+  // Every thread scores its own draw of pairs from the shared pool, so the
+  // threads race to memoize the same phrases.
+  std::vector<std::vector<std::pair<size_t, size_t>>> pairs(kThreads);
+  for (auto& mine : pairs) {
+    for (int n = 0; n < kPairsPerThread; ++n) {
+      mine.emplace_back(
+          static_cast<size_t>(gen.rng().UniformInt(0, 59)),
+          static_cast<size_t>(gen.rng().UniformInt(0, 59)));
+    }
+  }
+
+  SemanticAffinity shared;
+  std::vector<std::vector<double>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      SemanticAffinity::Phrase scratch_a;
+      SemanticAffinity::Phrase scratch_b;
+      for (const auto& [a, b] : pairs[t]) {
+        got[t].push_back(
+            shared.NormalizedScore(shared.Prepared(pool[a], &scratch_a),
+                                   shared.Prepared(pool[b], &scratch_b)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  SemanticAffinity serial;
+  std::unordered_set<std::string> distinct;
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), pairs[t].size());
+    for (size_t n = 0; n < pairs[t].size(); ++n) {
+      const auto& [a, b] = pairs[t][n];
+      distinct.insert(pool[a]);
+      distinct.insert(pool[b]);
+      EXPECT_EQ(got[t][n],
+                serial.NormalizedScore(serial.Prepare(pool[a]),
+                                       serial.Prepare(pool[b])))
+          << "seed " << g_property_seed << " thread " << t << " pair " << n;
+    }
+  }
+  // Racing threads insert each phrase once.
+  EXPECT_EQ(shared.memo_size(), distinct.size());
 }
 
 }  // namespace

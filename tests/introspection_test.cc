@@ -663,32 +663,37 @@ TEST(AdminPlaneTest, StatsCountersTrackSamplingAndRecording) {
 
 // The acceptance scenario: a deadline-exceeded question must be
 // retrievable from the flight recorder (and /slow) with a span tree and
-// the SPARQL of its top candidate.  Timing-dependent, so the
-// deadline is derived from a measured run and retried across offsets
-// until the expiry lands after BGP generation (top candidate known) —
-// the same retry idiom as DeadlineTest.ShardedEvaluationCancelsMidScan.
+// the SPARQL of its top candidate.  So the expiry has to land after BGP
+// generation, while a candidate query's exchange is in flight.  Every
+// exchange carries 25 ms of injected latency, and the walk is steered by
+// counting exchanges rather than by fixed wall-clock offsets: each
+// attempt reads back how many exchanges the question issued before its
+// expiry and moves the deadline by the exchanges it missed by, so a slow
+// host shifts the walk instead of exhausting it.
 TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
   const std::string question = "Who is the spouse of Barack Obama?";
 
-  // Measure the linking requests on a latency-free endpoint: the count
-  // is latency-independent, and with per-exchange injected latency L the
-  // pipeline reaches BGP generation at ~requests * L.
+  // Count the exchanges on a latency-free endpoint: `requests` linking
+  // exchanges, then the candidate executions.  Both counts are
+  // latency-independent.
   size_t requests = 0;
+  size_t exchanges = 0;
   {
     sparql::Endpoint endpoint("mini", MiniKg());
     core::KgqanEngine engine(ServingConfig());
     core::KgqanResult result = engine.AnswerFull(question, endpoint);
     ASSERT_TRUE(result.response.understood);
     requests = result.linking_requests;
+    exchanges = endpoint.query_count();
     ASSERT_GT(requests, 0u);
+    ASSERT_GT(exchanges, requests);
   }
 
   constexpr double kLatencyMs = 25.0;
+  // First aim: halfway through the first candidate exchange.
+  double deadline_ms = (static_cast<double>(requests) + 0.5) * kLatencyMs;
   bool found = false;
   for (int attempt = 0; attempt < 6 && !found; ++attempt) {
-    // Walk the expiry point across the first candidate executions.
-    double deadline_ms = static_cast<double>(requests) * kLatencyMs +
-                         kLatencyMs * (0.5 + attempt);
     sparql::Endpoint endpoint("mini", MiniKg());
     endpoint.set_injected_latency_ms(kLatencyMs);
     core::KgqanEngine engine(ServingConfig());
@@ -696,7 +701,12 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
     auto response = server.Ask(question, deadline_ms);
     ASSERT_TRUE(response.ok()) << response.status();
     server.Drain();
-    if (!response->deadline_exceeded) continue;  // Expired too late.
+    if (!response->deadline_exceeded) {
+      // Expired too late: aim halfway into this run's last exchange, a
+      // candidate execution.
+      deadline_ms = response->total_ms - 0.5 * kLatencyMs;
+      continue;
+    }
     ASSERT_NE(server.flight_recorder(), nullptr);
     for (const auto& record : server.flight_recorder()->Snapshot()) {
       if (record->status != "deadline_exceeded") continue;
@@ -717,6 +727,13 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
       ExpectValidJsonLines(slow);
       EXPECT_NE(slow.find("deadline_exceeded"), std::string::npos);
     }
+    // Expired too early (during linking) or late in execution: move the
+    // expiry to the first candidate exchange, counted from the exchanges
+    // this run issued, each of which is one in flight at its expiry.
+    const size_t issued = endpoint.query_count();
+    deadline_ms += (static_cast<double>(requests + 1) -
+                    static_cast<double>(issued)) *
+                   kLatencyMs;
     server.Shutdown();
   }
   EXPECT_TRUE(found)

@@ -212,5 +212,38 @@ TEST(EngineTraceTest, RootSpanCoversPhaseSpans) {
   EXPECT_EQ(result.candidates.size(), result.queries_generated);
 }
 
+TEST(EngineTraceTest, SparqlParseNestsUnderSparqlQuery) {
+  benchgen::Benchmark b =
+      benchgen::BuildBenchmark(benchgen::BenchmarkId::kLcQuad, 0.02);
+  ASSERT_GT(b.questions.size(), 0u);
+  core::KgqanConfig cfg;
+  cfg.num_threads = 1;
+  core::KgqanEngine engine(cfg);
+
+  obs::Trace trace(obs::Trace::Mode::kFull);
+  core::KgqanResult result =
+      engine.AnswerFull(b.questions[0].text, *b.endpoint, &trace);
+  ASSERT_TRUE(result.response.understood);
+
+  // Every endpoint request (no deadline, so none is dropped) parses its
+  // query once, inside its own sparql.query span.
+  std::vector<obs::SpanRecord> spans = trace.spans();
+  size_t queries = 0;
+  size_t parses = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "sparql.query") ++queries;
+    if (span.name != "sparql.parse") continue;
+    ++parses;
+    ASSERT_NE(span.parent, obs::kNoSpan);
+    const obs::SpanRecord& parent = spans[span.parent];
+    EXPECT_EQ(parent.name, "sparql.query");
+    EXPECT_GE(span.start_ns, parent.start_ns);
+    EXPECT_LE(span.start_ns + span.duration_ns,
+              parent.start_ns + parent.duration_ns);
+  }
+  EXPECT_GT(queries, 0u);
+  EXPECT_EQ(parses, queries);
+}
+
 }  // namespace
 }  // namespace kgqan
