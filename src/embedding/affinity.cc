@@ -40,7 +40,7 @@ const SemanticAffinity::Phrase& SemanticAffinity::Prepared(
   // Prepare outside the lock: two threads may prepare the same phrase;
   // the first insert wins and both results are identical.
   *scratch = Prepare(phrase);
-  if (memo_size() >= kPhraseMemoCapacity) return *scratch;
+  if (memo_size() >= kPhraseMemoCapacity) return *scratch;  // Skip the lock.
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   auto it = shard.phrases.find(phrase);
   if (it != shard.phrases.end()) return it->second;

@@ -48,8 +48,8 @@ enum class AffinityMode {
 
 class SemanticAffinity {
  public:
-  // Upper bound on the phrases Prepared() keeps (about 10 MB of
-  // fine-grained phrases).
+  // Upper bound on the phrases Prepared() keeps.  Full, it holds 11-17 MB
+  // of fine-grained two- to four-word phrases.
   static constexpr size_t kPhraseMemoCapacity = size_t{1} << 16;
 
   // A phrase tokenized and embedded once, ready to be scored against many

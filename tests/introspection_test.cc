@@ -727,9 +727,10 @@ TEST(AdminPlaneTest, DeadlineExceededQuestionRetrievableFromSlow) {
       ExpectValidJsonLines(slow);
       EXPECT_NE(slow.find("deadline_exceeded"), std::string::npos);
     }
-    // Expired too early (during linking) or late in execution: move the
-    // expiry to the first candidate exchange, counted from the exchanges
-    // this run issued, each of which is one in flight at its expiry.
+    // If not found, the expiry fell elsewhere, typically during linking.
+    // `issued` counts the exchanges started before it, the last being the
+    // one it interrupted; shift by the difference to the first candidate
+    // exchange, number requests + 1.
     const size_t issued = endpoint.query_count();
     deadline_ms += (static_cast<double>(requests + 1) -
                     static_cast<double>(issued)) *
