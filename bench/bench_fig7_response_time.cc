@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     benchgen::Benchmark b = bench::BuildAnnounced(id, scale);
     core::KgqanConfig serial_cfg = bench::DefaultEngineConfig();
     serial_cfg.num_threads = 1;
-    serial_cfg.linking_cache_capacity = 0;  // The paper's stateless engine.
+    serial_cfg.linking_cache = false;  // The paper's stateless engine.
     core::KgqanConfig parallel_cfg = bench::DefaultEngineConfig();
     parallel_cfg.num_threads = kParallelThreads;
     core::KgqanEngine kgqan(serial_cfg);

@@ -8,7 +8,8 @@
 // Without a file argument it serves a bundled demo KG.
 // Multi-intention questions ("When and where was X born?") are
 // decomposed automatically; prefixing a question with "explain " prints
-// the full pipeline trace (PGP, links, candidate queries).
+// the full pipeline trace (PGP, links, candidate queries with their
+// per-operator EXPLAIN ANALYZE steps, trace id).
 
 #include <cstdio>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "benchgen/kg.h"
 #include "core/engine.h"
 #include "core/multi_intention.h"
+#include "obs/trace.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "sparql/endpoint.h"
@@ -85,8 +87,11 @@ int main(int argc, char** argv) {
           if (ia.response.answers.empty()) std::printf("  (no answers)\n");
         }
       } else if (line.rfind("explain ", 0) == 0) {
+        // A recording trace makes the engine keep per-operator stats
+        // (EXPLAIN ANALYZE) and stamp the result with a trace id.
+        obs::Trace trace(obs::Trace::Mode::kFull);
         core::KgqanResult full =
-            engine.AnswerFull(line.substr(8), endpoint);
+            engine.AnswerFull(line.substr(8), endpoint, &trace);
         std::printf("%s", core::Explain(full).c_str());
       } else {
         core::QaResponse r = engine.Answer(line, endpoint);

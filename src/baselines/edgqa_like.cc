@@ -169,7 +169,8 @@ core::QaResponse EdgqaLike::Answer(const std::string& question,
     resp.timings.execution_ms = watch.ElapsedMillis();
     return resp;
   }
-  std::string var = "u" + std::to_string(pgp.nodes()[*main_unknown].var_id);
+  std::string var = "u";
+  var += std::to_string(pgp.nodes()[*main_unknown].var_id);
   for (const core::Bgp& bgp : bgps) {
     auto rs = endpoint.Query(core::BgpGenerator::ToSelectSparql(bgp, var));
     if (!rs.ok() || rs->NumRows() == 0) continue;

@@ -26,7 +26,9 @@ double VertexScore(const Agp& agp, size_t node, const std::string& iri) {
 }
 
 std::string VarName(const qu::Pgp::Node& node) {
-  return "u" + std::to_string(node.var_id);
+  std::string name = "u";
+  name += std::to_string(node.var_id);
+  return name;
 }
 
 // Builds the ranked candidate list for one edge.

@@ -57,19 +57,10 @@ struct KgqanConfig {
   // execute queries the serial early-exit would have skipped.
   size_t num_threads = 0;
 
-  // Total entries per mode of the sharded LRU linking cache keyed by
-  // (phrase, KG identity, mode); repeated questions skip the endpoint
-  // requests of Sec. 5 entirely.  0 disables caching.
-  size_t linking_cache_capacity = 4096;
-
-  // EXPLAIN ANALYZE (not a paper parameter): collect per-operator runtime
-  // statistics — rows in/out, planner cardinality estimate vs. actual,
-  // step time — for every executed candidate query into
-  // KgqanResult::candidates[i].operators, rendered by core::Explain.
-  // Off (default) collects only for requests whose trace records spans
-  // (sampled requests under the serving front-end), so saturated serving
-  // pays nothing; on, every request collects.
-  bool explain_analyze = false;
+  // The sharded LRU linking cache keyed by (phrase, KG identity, mode);
+  // repeated questions skip the endpoint requests of Sec. 5 entirely.
+  // false runs the paper's stateless engine.
+  bool linking_cache = true;
 
   // Question-understanding model variant (Table 4 ablation).
   qu::TriplePatternGenerator::Options qu;

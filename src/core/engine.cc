@@ -24,9 +24,12 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
   return std::make_unique<util::ThreadPool>(n);
 }
 
-std::unique_ptr<LinkingCache> MakeCache(size_t capacity) {
-  if (capacity == 0) return nullptr;
-  return std::make_unique<LinkingCache>(capacity);
+// Entries per mode of the engine's linking cache.
+constexpr size_t kLinkingCacheCapacity = 4096;
+
+std::unique_ptr<LinkingCache> MakeCache(bool enabled) {
+  if (!enabled) return nullptr;
+  return std::make_unique<LinkingCache>(kLinkingCacheCapacity);
 }
 
 }  // namespace
@@ -115,7 +118,7 @@ KgqanEngine::KgqanEngine(const KgqanConfig& config)
       affinity_(std::make_unique<embed::SemanticAffinity>(
           config.affinity_mode)),
       pool_(MakePool(config.num_threads)),
-      cache_(MakeCache(config.linking_cache_capacity)),
+      cache_(MakeCache(config.linking_cache)),
       linker_(&config_, affinity_.get(), pool_.get(), cache_.get()),
       bgp_generator_(&config_),
       filtration_(&config_, affinity_.get()) {}
@@ -147,11 +150,11 @@ std::vector<rdf::Term> KgqanEngine::RunSelectCandidate(
     return answers;
   };
   // EXPLAIN ANALYZE: bind an operator-stats sink around the candidate's
-  // evaluation when asked for explicitly or when this question's trace is
-  // recording spans (sampled requests get operator detail for free).
+  // evaluation when this question's trace is recording spans (sampled
+  // requests get operator detail for free).
   sparql::EvalProfile profile;
   std::optional<sparql::ScopedEvalProfile> analyze;
-  if (config_.explain_analyze || span.recording()) analyze.emplace(&profile);
+  if (span.recording()) analyze.emplace(&profile);
   auto rs = endpoint.Query(BgpGenerator::ToSelectSparql(bgp, var));
   analyze.reset();
   stats->operators = std::move(profile.operators);
@@ -218,9 +221,7 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
     stats->executed = true;
     sparql::EvalProfile profile;
     std::optional<sparql::ScopedEvalProfile> analyze;
-    if (config_.explain_analyze || span.recording()) {
-      analyze.emplace(&profile);
-    }
+    if (span.recording()) analyze.emplace(&profile);
     auto rs = endpoint.Query(BgpGenerator::ToAskSparql(bgp));
     analyze.reset();
     stats->operators = std::move(profile.operators);

@@ -37,8 +37,8 @@ struct CandidateQueryStats {
   double latency_ms = 0.0;
   size_t rows = 0;  // Surviving answers (SELECT) or 1/0 (ASK held or not).
   // EXPLAIN ANALYZE: per-operator runtime stats of the candidate's
-  // evaluation, in execution order.  Populated when Config::explain_analyze
-  // is on or the question's trace records spans; empty otherwise.
+  // evaluation, in execution order.  Populated when the question's trace
+  // records spans; empty otherwise.
   std::vector<sparql::OperatorStats> operators;
 };
 

@@ -41,11 +41,6 @@ struct LinkingCacheStats {
   size_t misses = 0;
   size_t evictions = 0;
   size_t entries = 0;
-
-  double HitRate() const {
-    size_t total = hits + misses;
-    return total == 0 ? 0.0 : double(hits) / double(total);
-  }
 };
 
 class LinkingCache {

@@ -64,7 +64,8 @@ void WriteChromeTrace(const Trace& trace, std::string_view process_name,
   for (size_t c = 0; c < static_cast<size_t>(TraceCounter::kCount); ++c) {
     if (!root_args.empty()) root_args += ",";
     AppendJsonString(&root_args, TraceCounterName(TraceCounter(c)));
-    root_args += ":" + std::to_string(trace.counter(TraceCounter(c)));
+    root_args += ':';
+    root_args += std::to_string(trace.counter(TraceCounter(c)));
   }
   WriteChromeSpans(trace.spans(), pid, root_args, out);
 }

@@ -87,7 +87,8 @@ std::string ExpositionJson(const MetricsSnapshot& snapshot) {
     if (!first) out += ",";
     first = false;
     AppendJsonString(&out, name);
-    out += ":" + std::to_string(value);
+    out += ':';
+    out += std::to_string(value);
   }
   out += "},\"gauges\":{";
   first = true;

@@ -56,7 +56,8 @@ std::vector<std::shared_ptr<const FlightRecord>> FlightRecorder::Snapshot()
   return out;
 }
 
-void FlightRecorder::DumpChromeJsonl(std::ostream& out) const {
+std::string FlightRecorder::ChromeJsonl() const {
+  std::ostringstream out;
   const std::vector<std::shared_ptr<const FlightRecord>> records = Snapshot();
   uint32_t pid = 0;
   for (const std::shared_ptr<const FlightRecord>& record : records) {
@@ -87,11 +88,6 @@ void FlightRecorder::DumpChromeJsonl(std::ostream& out) const {
     }
     ++pid;
   }
-}
-
-std::string FlightRecorder::ChromeJsonl() const {
-  std::ostringstream out;
-  DumpChromeJsonl(out);
   return out.str();
 }
 

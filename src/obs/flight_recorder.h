@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -77,7 +76,6 @@ class FlightRecorder {
   // timings) as args on the root span.  Records captured without
   // spans (unsampled failures) synthesize a single "question" event so
   // they still appear on the timeline.
-  void DumpChromeJsonl(std::ostream& out) const;
   std::string ChromeJsonl() const;
 
  private:

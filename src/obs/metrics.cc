@@ -1,21 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "obs/json_util.h"
 
 namespace kgqan::obs {
-
-namespace {
-
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  return std::string(buffer);
-}
-
-}  // namespace
 
 double HistogramSnapshot::Percentile(double p) const {
   if (count == 0) return 0.0;
@@ -156,79 +143,6 @@ void MetricsRegistry::Reset() {
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
   for (auto& [name, histogram] : histograms_) histogram->Reset();
-}
-
-std::string FormatMetricsTable(const MetricsSnapshot& snapshot) {
-  std::string out;
-  char line[256];
-  if (!snapshot.counters.empty()) {
-    out += "counters:\n";
-    for (const auto& [name, value] : snapshot.counters) {
-      std::snprintf(line, sizeof(line), "  %-40s %12llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
-      out += line;
-    }
-  }
-  if (!snapshot.gauges.empty()) {
-    out += "gauges:\n";
-    for (const auto& [name, gauge] : snapshot.gauges) {
-      std::snprintf(line, sizeof(line), "  %-40s %12lld  (max %lld)\n",
-                    name.c_str(), static_cast<long long>(gauge.value),
-                    static_cast<long long>(gauge.max));
-      out += line;
-    }
-  }
-  if (!snapshot.histograms.empty()) {
-    out += "histograms:\n";
-    std::snprintf(line, sizeof(line), "  %-40s %10s %10s %10s %10s %10s %10s\n",
-                  "", "count", "mean", "p50", "p90", "p95", "p99");
-    out += line;
-    for (const auto& [name, hist] : snapshot.histograms) {
-      std::snprintf(line, sizeof(line),
-                    "  %-40s %10llu %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-                    name.c_str(), static_cast<unsigned long long>(hist.count),
-                    hist.Mean(), hist.Percentile(50), hist.Percentile(90),
-                    hist.Percentile(95), hist.Percentile(99));
-      out += line;
-    }
-  }
-  return out;
-}
-
-std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":" + std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : snapshot.gauges) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":{\"value\":" + std::to_string(gauge.value) +
-           ",\"max\":" + std::to_string(gauge.max) + "}";
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (!first) out += ",";
-    first = false;
-    AppendJsonString(&out, name);
-    out += ":{\"count\":" + std::to_string(hist.count) +
-           ",\"sum\":" + FormatDouble(hist.sum) +
-           ",\"mean\":" + FormatDouble(hist.Mean()) +
-           ",\"p50\":" + FormatDouble(hist.Percentile(50)) +
-           ",\"p90\":" + FormatDouble(hist.Percentile(90)) +
-           ",\"p95\":" + FormatDouble(hist.Percentile(95)) +
-           ",\"p99\":" + FormatDouble(hist.Percentile(99)) + "}";
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace kgqan::obs

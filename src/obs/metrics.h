@@ -162,13 +162,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
-// Plain-text table of a snapshot (counters, gauges, then histograms with
-// count/mean/p50/p90/p95/p99).
-std::string FormatMetricsTable(const MetricsSnapshot& snapshot);
-
-// JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-std::string MetricsToJson(const MetricsSnapshot& snapshot);
-
 }  // namespace kgqan::obs
 
 #endif  // KGQAN_OBS_METRICS_H_

@@ -51,8 +51,13 @@ std::string Pgp::DebugString() const {
       if (n.is_unknown) return "?u" + std::to_string(n.var_id);
       return "\"" + n.label + "\"";
     };
-    out += "(" + node_str(e.a) + " -[" + e.label + "]- " + node_str(e.b) +
-           ") ";
+    out += '(';
+    out += node_str(e.a);
+    out += " -[";
+    out += e.label;
+    out += "]- ";
+    out += node_str(e.b);
+    out += ") ";
   }
   return out;
 }

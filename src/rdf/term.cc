@@ -99,22 +99,29 @@ void AppendEscaped(const std::string& s, std::string& out) {
 
 std::string ToNTriples(const Term& term) {
   std::string out;
+  out.reserve(term.value.size() + term.lang.size() + term.datatype.size() + 6);
   switch (term.kind) {
     case TermKind::kIri:
-      out = "<" + term.value + ">";
+      out += '<';
+      out += term.value;
+      out += '>';
       break;
     case TermKind::kBlank:
-      out = "_:" + term.value;
+      out += "_:";
+      out += term.value;
       break;
     case TermKind::kLiteral:
-      out = "\"";
+      out += '"';
       AppendEscaped(term.value, out);
-      out += "\"";
+      out += '"';
       if (!term.lang.empty()) {
-        out += "@" + term.lang;
+        out += '@';
+        out += term.lang;
       } else if (!term.datatype.empty() &&
                  term.datatype != vocab::kXsdString) {
-        out += "^^<" + term.datatype + ">";
+        out += "^^<";
+        out += term.datatype;
+        out += '>';
       }
       break;
   }

@@ -31,10 +31,6 @@ TermId TermDictionary::Intern(const Term& term) {
   return id;
 }
 
-TermId TermDictionary::InternIri(std::string_view iri) {
-  return Intern(Iri(std::string(iri)));
-}
-
 std::optional<TermId> TermDictionary::Find(const Term& term) const {
   auto it = ids_.find(EncodeKey(term));
   if (it == ids_.end()) return std::nullopt;

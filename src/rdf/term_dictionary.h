@@ -33,9 +33,6 @@ class TermDictionary {
   // Returns the id of `term`, inserting it if not present.
   TermId Intern(const Term& term);
 
-  // Convenience for the most common case.
-  TermId InternIri(std::string_view iri);
-
   // Returns the id of `term` if present.
   std::optional<TermId> Find(const Term& term) const;
   std::optional<TermId> FindIri(std::string_view iri) const;

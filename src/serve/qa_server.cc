@@ -8,9 +8,9 @@
 
 namespace kgqan::serve {
 
-QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
+QaServer::QaServer(const core::KgqanEngine* engine,
                    sparql::Endpoint* endpoint, QaServerOptions options)
-    : engines_(std::move(engines)),
+    : engine_(engine),
       endpoint_(endpoint),
       options_(options),
       // The queue publishes its depth under its own lock, so the gauge is
@@ -47,7 +47,7 @@ QaServer::QaServer(std::vector<const core::KgqanEngine*> engines,
   size_t num_workers = options_.num_workers > 0 ? options_.num_workers : 1;
   workers_.reserve(num_workers);
   for (size_t w = 0; w < num_workers; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 
   if (options_.admin_port >= 0) {
@@ -64,11 +64,10 @@ QaServer::~QaServer() { Shutdown(); }
 
 util::StatusOr<std::future<QaServerResponse>> QaServer::Submit(
     std::string question, double deadline_ms) {
-  double ms = deadline_ms > 0.0 ? deadline_ms : options_.default_deadline_ms;
   Request request;
   request.question = std::move(question);
-  if (ms > 0.0) {
-    request.token = util::CancelToken::WithDeadlineMillis(ms);
+  if (deadline_ms > 0.0) {
+    request.token = util::CancelToken::WithDeadlineMillis(deadline_ms);
   }
   std::future<QaServerResponse> future = request.promise.get_future();
   // Count the request in flight *before* pushing: a worker may pop and
@@ -101,23 +100,18 @@ util::StatusOr<QaServerResponse> QaServer::Ask(std::string question,
   return future->get();
 }
 
-void QaServer::WorkerLoop(size_t worker_index) {
-  const core::KgqanEngine* engine =
-      engines_[worker_index % engines_.size()];
+void QaServer::WorkerLoop() {
   while (std::optional<Request> request = queue_.Pop()) {
     QaServerResponse response;
     response.question = request->question;
     response.queue_ms = request->admitted.ElapsedMillis();
     metric_queue_wait_ms_->Record(response.queue_ms);
-    obs::Trace* trace =
-        options_.collector != nullptr
-            ? options_.collector->StartTrace(request->question)
-            : nullptr;
     // Head sampling: upgrade this request from counters-only to a full
     // span tree.  The trace lives on the worker's stack — its spans are
     // copied into a flight record if the request qualifies, then dropped.
+    obs::Trace* trace = nullptr;
     std::optional<obs::Trace> sampled_trace;
-    if (trace == nullptr && sampler_ != nullptr && sampler_->Sample()) {
+    if (sampler_ != nullptr && sampler_->Sample()) {
       sampled_trace.emplace(obs::Trace::Mode::kFull);
       trace = &*sampled_trace;
       metric_traces_sampled_->Add(1);
@@ -130,8 +124,8 @@ void QaServer::WorkerLoop(size_t worker_index) {
       // Bind the request's token so the whole pipeline under AnswerFull —
       // including its thread-pool fan-out — observes this deadline.
       util::ScopedCancelToken bind(request->token);
-      response.result = engine->AnswerFull(request->question, *endpoint_,
-                                           trace);
+      response.result =
+          engine_->AnswerFull(request->question, *endpoint_, trace);
       response.deadline_exceeded = response.result.deadline_exceeded;
     }
     response.total_ms = request->admitted.ElapsedMillis();

@@ -1,6 +1,6 @@
 // Async serving front-end: QaServer multiplexes many concurrent questions
-// onto one or more shared kgqan::core::Engine instances through a bounded
-// MPMC admission queue drained by a worker pool.
+// onto one shared kgqan::core::KgqanEngine through a bounded MPMC admission
+// queue drained by a worker pool.
 //
 // Production behaviours (the ROADMAP's async-serving item):
 //  * Admission control / backpressure — Submit() never queues unboundedly:
@@ -20,11 +20,11 @@
 // Observability: queue depth (gauge serve.queue_depth), admission /
 // rejection / completion / deadline counters (serve.*), queue-wait and
 // end-to-end latency histograms (serve.queue_wait_ms, serve.e2e_ms) in the
-// process-wide obs::MetricsRegistry, plus an optional obs::TraceCollector
-// for full per-request span trees.
+// process-wide obs::MetricsRegistry, plus head-sampled span trees kept by
+// the slow-question flight recorder.
 //
 // Thread-safety: Submit/Ask/Drain/Shutdown/stats may be called from any
-// number of threads concurrently.  Engine instances are shared by workers
+// number of threads concurrently.  The engine is shared by all workers
 // (AnswerFull is const and thread-safe); the endpoint serializes live
 // updates against in-flight queries itself.
 
@@ -57,22 +57,13 @@
 namespace kgqan::serve {
 
 struct QaServerOptions {
-  // Worker threads draining the admission queue.  Workers round-robin
-  // over the engine instances; with single-threaded engines this is the
-  // server's concurrency level.
+  // Worker threads draining the admission queue, all sharing the engine;
+  // with a single-threaded engine this is the server's concurrency level.
   size_t num_workers = 4;
 
   // Admission queue capacity: requests beyond num_workers in flight plus
   // this many queued are rejected with Overloaded.
   size_t queue_capacity = 64;
-
-  // Deadline applied to requests that do not specify one; 0 = none.
-  double default_deadline_ms = 0.0;
-
-  // When set, every request records a full span tree into the collector
-  // (expensive; meant for debugging, not saturated serving).  Takes
-  // precedence over sampled tracing below.
-  obs::TraceCollector* collector = nullptr;
 
   // Always-on head-sampled tracing: every trace_sample_every-th request is
   // upgraded from counters-only to a full span tree (capped at
@@ -122,15 +113,9 @@ struct QaServerStats {
 
 class QaServer {
  public:
-  // `engines` (at least one) and `endpoint` must outlive the server.
-  QaServer(std::vector<const core::KgqanEngine*> engines,
-           sparql::Endpoint* endpoint, QaServerOptions options);
-
-  // Single-engine convenience.
+  // `engine` and `endpoint` must outlive the server.
   QaServer(const core::KgqanEngine* engine, sparql::Endpoint* endpoint,
-           QaServerOptions options)
-      : QaServer(std::vector<const core::KgqanEngine*>{engine}, endpoint,
-                 std::move(options)) {}
+           QaServerOptions options);
 
   QaServer(const QaServer&) = delete;
   QaServer& operator=(const QaServer&) = delete;
@@ -139,8 +124,8 @@ class QaServer {
 
   // Non-blocking admission.  Returns a future for the response, or fails
   // immediately: Overloaded (queue full — backpressure) or Unavailable
-  // (draining / shut down).  `deadline_ms` > 0 overrides the default
-  // deadline; <= 0 applies QaServerOptions::default_deadline_ms.
+  // (draining / shut down).  `deadline_ms` > 0 bounds the request from
+  // admission on; <= 0 means no deadline.
   util::StatusOr<std::future<QaServerResponse>> Submit(
       std::string question, double deadline_ms = 0.0);
 
@@ -183,7 +168,7 @@ class QaServer {
     std::promise<QaServerResponse> promise;
   };
 
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
   // Decrements the in-flight count and wakes Drain() at zero.
   void FinishOne();
@@ -193,7 +178,7 @@ class QaServer {
   void MaybeRecordFlight(const QaServerResponse& response,
                          const obs::Trace* trace);
 
-  const std::vector<const core::KgqanEngine*> engines_;
+  const core::KgqanEngine* engine_;
   sparql::Endpoint* endpoint_;
   const QaServerOptions options_;
 

@@ -89,7 +89,8 @@ std::string ToSparql(const GroupGraphPattern& group, int indent) {
   for (const InlineValues& iv : group.values) {
     out += Indent(indent + 2) + "VALUES ?" + iv.var.name + " {";
     for (const rdf::Term& t : iv.values) {
-      out += " " + rdf::ToNTriples(t);
+      out += ' ';
+      out += rdf::ToNTriples(t);
     }
     out += " }\n";
   }

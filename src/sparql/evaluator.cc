@@ -36,6 +36,12 @@ EvalProfile* CurrentEvalProfile() { return CurrentEvalProfileSlot(); }
 
 namespace {
 
+// Hard cap on intermediate/solution rows, like the result caps of public
+// SPARQL endpoints.  Evaluation stops (successfully) when reached.
+constexpr size_t kMaxRows = 100000;
+// Cap on candidates pulled from the text index per bif:contains pattern.
+constexpr size_t kTextCandidateLimit = 4096;
+
 using rdf::kNullTermId;
 using rdf::Term;
 using rdf::TermId;
@@ -93,9 +99,8 @@ void CollectVars(const GroupGraphPattern& group, SlotMap* slots) {
 
 class Evaluator {
  public:
-  Evaluator(const store::TripleStore& store, const text::TextIndex& text_index,
-            const EvalOptions& options)
-      : store_(store), text_index_(text_index), options_(options),
+  Evaluator(const store::TripleStore& store, const text::TextIndex& text_index)
+      : store_(store), text_index_(text_index),
         profile_(CurrentEvalProfile()) {
     // Per-step analysis (operator stats, step spans) runs only when a
     // profile sink is bound or the active trace records spans — unsampled
@@ -242,7 +247,7 @@ class Evaluator {
       KGQAN_ASSIGN_OR_RETURN(text::ContainsQuery cq,
                              text::ParseContainsQuery(tp.expr));
       std::vector<TermId> candidates =
-          text_index_.MatchLiterals(cq, options_.text_candidate_limit);
+          text_index_.MatchLiterals(cq, kTextCandidateLimit);
       size_t slot = slots_.SlotOf(tp.var.name);
       std::vector<Binding> next;
       for (const Binding& row : rows) {
@@ -258,9 +263,9 @@ class Evaluator {
           Binding ext = row;
           ext[slot] = cand;
           next.push_back(std::move(ext));
-          if (next.size() >= options_.max_rows) break;
+          if (next.size() >= kMaxRows) break;
         }
-        if (next.size() >= options_.max_rows) break;
+        if (next.size() >= kMaxRows) break;
       }
       rows = std::move(next);
     }
@@ -287,9 +292,9 @@ class Evaluator {
           Binding ext = row;
           ext[slot] = id;
           next.push_back(std::move(ext));
-          if (next.size() >= options_.max_rows) break;
+          if (next.size() >= kMaxRows) break;
         }
-        if (next.size() >= options_.max_rows) break;
+        if (next.size() >= kMaxRows) break;
       }
       rows = std::move(next);
     }
@@ -329,9 +334,9 @@ class Evaluator {
         if (!matched.ok()) return matched.status();
         for (Binding& m : *matched) {
           next.push_back(std::move(m));
-          if (next.size() >= options_.max_rows) break;
+          if (next.size() >= kMaxRows) break;
         }
-        if (next.size() >= options_.max_rows) break;
+        if (next.size() >= kMaxRows) break;
       }
       rows = std::move(next);
     }
@@ -348,10 +353,10 @@ class Evaluator {
         } else {
           for (Binding& m : *matched) {
             next.push_back(std::move(m));
-            if (next.size() >= options_.max_rows) break;
+            if (next.size() >= kMaxRows) break;
           }
         }
-        if (next.size() >= options_.max_rows) break;
+        if (next.size() >= kMaxRows) break;
       }
       rows = std::move(next);
     }
@@ -396,12 +401,12 @@ class Evaluator {
           ext[CompiledTriple::Slot(cp.o)] = t.o;
         }
         next.push_back(std::move(ext));
-        return next.size() < options_.max_rows;
+        return next.size() < kMaxRows;
       });
       if (cancelled) {
         return Status::DeadlineExceeded("evaluation cancelled mid-scan");
       }
-      if (next.size() >= options_.max_rows) break;
+      if (next.size() >= kMaxRows) break;
     }
     return next;
   }
@@ -755,7 +760,6 @@ class Evaluator {
 
   const store::TripleStore& store_;
   const text::TextIndex& text_index_;
-  const EvalOptions& options_;
   SlotMap slots_;
   // Query-local dictionary overlay for VALUES terms absent from the store
   // (their ids live above dictionary().MaxId(); see InternValue/TermOf).
@@ -773,8 +777,7 @@ class Evaluator {
 
 StatusOr<ResultSet> Evaluate(const Query& query,
                              const store::TripleStore& store,
-                             const text::TextIndex& text_index,
-                             const EvalOptions& options) {
+                             const text::TextIndex& text_index) {
   // Registry instrumentation: evaluation volume and result-set sizes
   // (bucket bounds are row counts, not latencies).
   static obs::Counter& evaluations =
@@ -784,7 +787,7 @@ StatusOr<ResultSet> Evaluate(const Query& query,
           "sparql.evaluator.result_rows",
           {0.0, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
   evaluations.Add(1);
-  Evaluator evaluator(store, text_index, options);
+  Evaluator evaluator(store, text_index);
   StatusOr<ResultSet> result = evaluator.Run(query);
   if (result.ok() && !result->is_ask()) {
     result_rows.Record(double(result->NumRows()));

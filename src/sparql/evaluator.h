@@ -28,14 +28,6 @@
 
 namespace kgqan::sparql {
 
-struct EvalOptions {
-  // Hard cap on intermediate/solution rows, like the result caps of public
-  // SPARQL endpoints.  Evaluation stops (successfully) when reached.
-  size_t max_rows = 100000;
-  // Cap on candidates pulled from the text index per bif:contains pattern.
-  size_t text_candidate_limit = 4096;
-};
-
 // Per-operator runtime statistics for EXPLAIN ANALYZE: one entry per
 // executed join step, in execution order, with the planner's cardinality
 // estimate next to the actual row counts so misestimates are visible per
@@ -68,8 +60,8 @@ struct EvalProfile {
 
 // Binds `profile` as the calling thread's operator-stats sink for the
 // duration of the scope (nullptr = unbind).  The engine binds one around
-// candidate-query evaluation when EXPLAIN ANALYZE or a sampled trace asks
-// for per-operator detail; unbound evaluation skips all collection.
+// candidate-query evaluation when a recording trace asks for per-operator
+// detail; unbound evaluation skips all collection.
 class ScopedEvalProfile {
  public:
   explicit ScopedEvalProfile(EvalProfile* profile);
@@ -88,8 +80,7 @@ EvalProfile* CurrentEvalProfile();
 // Evaluates `query` against `store` / `text_index`.
 util::StatusOr<ResultSet> Evaluate(const Query& query,
                                    const store::TripleStore& store,
-                                   const text::TextIndex& text_index,
-                                   const EvalOptions& options = {});
+                                   const text::TextIndex& text_index);
 
 }  // namespace kgqan::sparql
 

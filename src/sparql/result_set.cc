@@ -1,7 +1,5 @@
 #include "sparql/result_set.h"
 
-#include <cstdio>
-
 namespace kgqan::sparql {
 
 std::optional<size_t> ResultSet::ColumnIndex(std::string_view name) const {
@@ -9,108 +7,6 @@ std::optional<size_t> ResultSet::ColumnIndex(std::string_view name) const {
     if (columns_[i] == name) return i;
   }
   return std::nullopt;
-}
-
-std::vector<rdf::Term> ResultSet::ColumnValues(size_t col) const {
-  std::vector<rdf::Term> out;
-  for (const Row& row : rows_) {
-    if (row[col].has_value()) out.push_back(*row[col]);
-  }
-  return out;
-}
-
-namespace {
-
-void AppendJsonEscaped(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void AppendJsonTerm(const rdf::Term& term, std::string& out) {
-  out += "{\"type\": \"";
-  switch (term.kind) {
-    case rdf::TermKind::kIri:
-      out += "uri";
-      break;
-    case rdf::TermKind::kLiteral:
-      out += "literal";
-      break;
-    case rdf::TermKind::kBlank:
-      out += "bnode";
-      break;
-  }
-  out += "\", \"value\": \"";
-  AppendJsonEscaped(term.value, out);
-  out += "\"";
-  if (term.IsLiteral()) {
-    if (!term.lang.empty()) {
-      out += ", \"xml:lang\": \"" + term.lang + "\"";
-    } else if (!term.datatype.empty() &&
-               term.datatype != rdf::vocab::kXsdString) {
-      out += ", \"datatype\": \"";
-      AppendJsonEscaped(term.datatype, out);
-      out += "\"";
-    }
-  }
-  out += "}";
-}
-
-}  // namespace
-
-std::string ResultSet::ToSparqlJson() const {
-  std::string out;
-  if (is_ask_) {
-    out = "{\"head\": {}, \"boolean\": ";
-    out += ask_value_ ? "true" : "false";
-    out += "}";
-    return out;
-  }
-  out = "{\"head\": {\"vars\": [";
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + columns_[i] + "\"";
-  }
-  out += "]}, \"results\": {\"bindings\": [";
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    if (r > 0) out += ", ";
-    out += "{";
-    bool first = true;
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (!rows_[r][c].has_value()) continue;  // Unbound: omitted.
-      if (!first) out += ", ";
-      first = false;
-      out += "\"" + columns_[c] + "\": ";
-      AppendJsonTerm(*rows_[r][c], out);
-    }
-    out += "}";
-  }
-  out += "]}}";
-  return out;
 }
 
 std::string ResultSet::ToTsv() const {

@@ -34,7 +34,6 @@ class ResultSet {
   bool ask_value() const { return ask_value_; }
 
   const std::vector<std::string>& columns() const { return columns_; }
-  size_t NumColumns() const { return columns_.size(); }
   size_t NumRows() const { return rows_.size(); }
   const std::vector<Row>& rows() const { return rows_; }
 
@@ -46,15 +45,8 @@ class ResultSet {
     return rows_[row][col];
   }
 
-  // All bound values of column `col`, in row order.
-  std::vector<rdf::Term> ColumnValues(size_t col) const;
-
   // Tab-separated rendering with a header line (debugging / examples).
   std::string ToTsv() const;
-
-  // W3C "SPARQL 1.1 Query Results JSON Format" rendering — what a real
-  // endpoint returns for Accept: application/sparql-results+json.
-  std::string ToSparqlJson() const;
 
  private:
   std::vector<std::string> columns_;

@@ -149,28 +149,4 @@ bool TripleStore::Contains(TermId s, TermId p, TermId o) const {
   return CountMatches(s, p, o) > 0;
 }
 
-std::vector<TermId> TripleStore::OutgoingPredicates(TermId v) const {
-  // SPO index: triples with subject v are contiguous; predicates are sorted
-  // within the run, so dedup is a simple adjacent check.
-  std::vector<TermId> preds;
-  Match(v, kNullTermId, kNullTermId, [&](const Triple& t) {
-    if (preds.empty() || preds.back() != t.p) preds.push_back(t.p);
-    return true;
-  });
-  std::sort(preds.begin(), preds.end());
-  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  return preds;
-}
-
-std::vector<TermId> TripleStore::IncomingPredicates(TermId v) const {
-  std::vector<TermId> preds;
-  Match(kNullTermId, kNullTermId, v, [&](const Triple& t) {
-    preds.push_back(t.p);
-    return true;
-  });
-  std::sort(preds.begin(), preds.end());
-  preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
-  return preds;
-}
-
 }  // namespace kgqan::store

@@ -150,12 +150,6 @@ class TripleStore {
   // True if the fully bound triple exists.
   bool Contains(TermId s, TermId p, TermId o) const;
 
-  // Distinct predicates appearing in triples with subject `v`
-  // (outgoingPredicate(v) of Sec. 5.2) / with object `v`
-  // (incomingPredicate(v)).
-  std::vector<TermId> OutgoingPredicates(TermId v) const;
-  std::vector<TermId> IncomingPredicates(TermId v) const;
-
   // Approximate bytes held by the store: the actual capacity of each of
   // the five permutation indexes plus the term dictionary.  O(1).
   size_t ApproxIndexBytes() const {

@@ -50,15 +50,6 @@ bool CancelToken::Cancelled() const {
   return false;
 }
 
-double CancelToken::RemainingMillis() const {
-  if (state_ == nullptr || !state_->has_deadline) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return std::chrono::duration<double, std::milli>(
-             state_->deadline - std::chrono::steady_clock::now())
-      .count();
-}
-
 const CancelToken& CurrentCancelToken() { return ThreadToken(); }
 
 bool Cancelled() { return ThreadToken().Cancelled(); }

@@ -43,10 +43,6 @@ class CancelToken {
   // Monotone: once true, stays true (the deadline check latches the flag).
   bool Cancelled() const;
 
-  // Milliseconds until the deadline (negative once past); +infinity for a
-  // null token or a token without a deadline.
-  double RemainingMillis() const;
-
  private:
   struct State {
     std::atomic<bool> cancelled{false};

@@ -41,18 +41,6 @@ std::vector<std::string> Split(std::string_view s, char sep, bool skip_empty) {
   return out;
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && IsSpace(s[i])) ++i;
-    size_t start = i;
-    while (i < s.size() && !IsSpace(s[i])) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -82,27 +70,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool ContainsIgnoreCase(std::string_view s, std::string_view sub) {
-  if (sub.empty()) return true;
-  if (sub.size() > s.size()) return false;
-  for (size_t i = 0; i + sub.size() <= s.size(); ++i) {
-    bool match = true;
-    for (size_t j = 0; j < sub.size(); ++j) {
-      if (LowerChar(s[i + j]) != LowerChar(sub[j])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
 }
 
 std::vector<std::string> SplitIdentifierWords(std::string_view ident) {

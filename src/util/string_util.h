@@ -20,9 +20,6 @@ std::string_view Trim(std::string_view s);
 std::vector<std::string> Split(std::string_view s, char sep,
                                bool skip_empty = false);
 
-// Splits `s` on runs of ASCII whitespace; never returns empty pieces.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
@@ -31,10 +28,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
-// True if `sub` occurs in `s` ignoring ASCII case.
-bool ContainsIgnoreCase(std::string_view s, std::string_view sub);
 
 // Splits a camelCase / PascalCase / snake_case identifier into lower-case
 // words.  E.g. "nearestCity" -> {"nearest", "city"}, "birth_place" ->

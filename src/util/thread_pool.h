@@ -115,26 +115,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-// Cooperative parallel loop: runs `fn(i)` for every i in [0, n), sharing
-// the items between the calling thread and up to min(pool->size(), n - 1)
-// helper tasks submitted to `pool`.  Items are claimed from a shared
-// atomic cursor, so the split adapts to however many helpers actually get
-// a worker.
-//
-// Deadlock-safe under nested parallelism by construction: the caller never
-// blocks on *queued* work.  It drains the item list itself, so when the
-// pool is saturated (e.g. the engine's candidate fan-out already owns
-// every worker) all items simply run inline on the calling thread; the
-// final wait can only ever be for items actively executing on a worker,
-// so nested fan-outs can share one bounded pool.
-//
-// With a null pool (or n <= 1) the loop is a plain serial for-loop.
-// Exceptions thrown by `fn` are rethrown on the calling thread after all
-// items finish (first one wins).  Helpers inherit the caller's trace
-// context and cancellation token via ThreadPool::Submit as usual.
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
 }  // namespace kgqan::util
 
 #endif  // KGQAN_UTIL_THREAD_POOL_H_

@@ -152,7 +152,7 @@ Graph TinyKg() {
 TEST(JitLinkerTest, OneRequestPerProbeOnTinyKg) {
   sparql::Endpoint endpoint("tiny", TinyKg());
   KgqanConfig config;
-  config.linking_cache_capacity = 0;
+  config.linking_cache = false;
   embed::SemanticAffinity affinity(config.affinity_mode);
   JitLinker linker(&config, &affinity);
   qu::Pgp pgp = qu::Pgp::Build({qu::PhraseTriple{

@@ -103,10 +103,9 @@ TEST(DeadlineTest, GenerousDeadlineIsByteIdentical) {
   QaServerOptions options;
   options.num_workers = 1;
   options.queue_capacity = 4;
-  options.default_deadline_ms = 60'000.0;
   QaServer server(&served_engine, &endpoint_b, options);
   for (size_t i = 0; i < 2; ++i) {
-    auto response = server.Ask(kQuestions[i]);
+    auto response = server.Ask(kQuestions[i], 60'000.0);
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_FALSE(response->deadline_exceeded);
     const core::KgqanResult& ref = reference[i];

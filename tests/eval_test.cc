@@ -7,7 +7,6 @@
 #include "core/engine.h"
 #include "eval/linking_eval.h"
 #include "eval/metrics.h"
-#include "eval/report.h"
 #include "eval/runner.h"
 
 namespace kgqan::eval {
@@ -114,65 +113,6 @@ TEST(RunnerTest, AggregatesOverBenchmark) {
   size_t solved = r.taxonomy.solved_by_shape[0] +
                   r.taxonomy.solved_by_shape[1];
   EXPECT_EQ(solved + r.failures, r.num_questions);
-}
-
-TEST(ReportTest, MarkdownTablesRenderAllSections) {
-  SystemBenchmarkResult r;
-  r.system = "KGQAn";
-  r.benchmark = "QALD-9";
-  r.num_questions = 10;
-  r.macro = Prf{0.5, 0.4, 0.44};
-  r.failures = 6;
-  r.qu_failures = 2;
-  r.avg_timings.qu_ms = 20.0;
-  r.avg_timings.linking_ms = 1.0;
-  r.avg_timings.execution_ms = 0.5;
-  r.linking_cache_hits = 5;
-  r.linking_cache_misses = 3;
-  r.taxonomy.total_by_shape = {8, 2};
-  r.taxonomy.solved_by_shape = {4, 0};
-  r.taxonomy.total_by_ling = {6, 2, 1, 1};
-  r.taxonomy.solved_by_ling = {3, 1, 0, 0};
-
-  BenchmarkReport row;
-  row.benchmark = "QALD-9";
-  row.systems.push_back(r);
-  std::vector<BenchmarkReport> rows{row};
-
-  std::string quality = QualityTableMarkdown(rows);
-  EXPECT_NE(quality.find("| KGQAn |"), std::string::npos);
-  EXPECT_NE(quality.find("50.0 / 40.0 / 44.0"), std::string::npos);
-
-  std::string timing = TimingTableMarkdown(rows);
-  EXPECT_NE(timing.find("| 20.00 | 1.00 | 0.50 | 21.50 | 5/3 |"),
-            std::string::npos);
-
-  std::string failures = FailureTableMarkdown(rows);
-  EXPECT_NE(failures.find("| 10 | 2 | 4 | 6 |"), std::string::npos);
-
-  std::string taxonomy = TaxonomyTableMarkdown(rows);
-  EXPECT_NE(taxonomy.find("| 4/8 | 0/2 |"), std::string::npos);
-
-  LinkingScores scores;
-  scores.entity = Prf{0.9, 0.8, 0.85};
-  scores.relation = Prf{0.7, 0.6, 0.65};
-  std::string linking = LinkingTableMarkdown({{"KGQAn", scores}});
-  EXPECT_NE(linking.find("90.0 / 80.0 / 85.0"), std::string::npos);
-}
-
-TEST(ReportTest, MissingSystemRendersDash) {
-  BenchmarkReport a;
-  a.benchmark = "A";
-  SystemBenchmarkResult ra;
-  ra.system = "KGQAn";
-  a.systems.push_back(ra);
-  BenchmarkReport b;
-  b.benchmark = "B";
-  SystemBenchmarkResult rb;
-  rb.system = "EDGQA";
-  b.systems.push_back(rb);
-  std::string quality = QualityTableMarkdown({a, b});
-  EXPECT_NE(quality.find("–"), std::string::npos);
 }
 
 TEST(LinkingEvalTest, KgqanLinkingScoresAreMeaningful) {

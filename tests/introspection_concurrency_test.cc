@@ -124,7 +124,11 @@ TEST(IntrospectionConcurrencyTest, FlightRecorderDumpRacesRecording) {
     writers.emplace_back([&recorder, t] {
       for (int i = 0; i < 2'000; ++i) {
         auto record = std::make_shared<obs::FlightRecord>();
-        record->question = "q" + std::to_string(t) + "." + std::to_string(i);
+        std::string question = "q";
+        question += std::to_string(t);
+        question += '.';
+        question += std::to_string(i);
+        record->question = std::move(question);
         record->status = i % 7 == 0 ? "deadline_exceeded" : "ok";
         record->total_ms = static_cast<double>(i);
         recorder.Record(std::move(record));

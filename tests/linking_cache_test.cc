@@ -88,7 +88,8 @@ TEST(LinkingCacheTest, ConcurrentReadersAndWriters) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t]() {
       for (int i = 0; i < 500; ++i) {
-        std::string phrase = "p" + std::to_string(i % 37);
+        std::string phrase = "p";
+        phrase += std::to_string(i % 37);
         if ((i + t) % 2 == 0) {
           cache.PutVertices(phrase, "kg", SomeVertices(double(i % 10) / 10));
         } else {

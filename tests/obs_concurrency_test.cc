@@ -113,7 +113,7 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
   // linking traffic is deterministic.
   core::KgqanConfig serial_cfg;
   serial_cfg.num_threads = 1;
-  serial_cfg.linking_cache_capacity = 0;
+  serial_cfg.linking_cache = false;
   core::KgqanEngine serial(serial_cfg);
   std::vector<size_t> expected_requests(n);
   for (size_t i = 0; i < n; ++i) {
@@ -127,7 +127,7 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
   // questions' traffic here; trace attribution must keep it exact.
   core::KgqanConfig par_cfg;
   par_cfg.num_threads = 4;
-  par_cfg.linking_cache_capacity = 0;
+  par_cfg.linking_cache = false;
   core::KgqanEngine shared(par_cfg);
   size_t global_requests_before = b.endpoint->query_count();
   std::vector<std::unique_ptr<obs::Trace>> traces;

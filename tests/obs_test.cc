@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/chrome_trace.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -172,13 +173,10 @@ TEST(MetricsRegistryTest, SnapshotTableAndJsonContainEveryMetric) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.counters[0].second, 5u);
 
-  std::string table = FormatMetricsTable(snap);
-  EXPECT_NE(table.find("requests"), std::string::npos);
-  EXPECT_NE(table.find("depth"), std::string::npos);
-  EXPECT_NE(table.find("latency_ms"), std::string::npos);
-
-  std::string json = MetricsToJson(snap);
+  std::string json = ExpositionJson(snap);
   EXPECT_NE(json.find("\"requests\""), std::string::npos);
+  EXPECT_NE(json.find("\"depth\""), std::string::npos);
+  EXPECT_NE(json.find("\"latency_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
@@ -299,7 +297,9 @@ TEST(ChromeTraceTest, WriterEmitsOneJsonObjectPerLine) {
 TEST(ChromeTraceTest, CollectorAssignsSequentialPids) {
   TraceCollector collector;
   for (int i = 0; i < 3; ++i) {
-    Trace* trace = collector.StartTrace("q" + std::to_string(i));
+    std::string question = "q";
+    question += std::to_string(i);
+    Trace* trace = collector.StartTrace(question);
     ScopedSpan root(trace, "question");
   }
   std::vector<std::string> lines = Lines(ChromeTraceJsonl(collector));

@@ -224,10 +224,10 @@ TEST(RobustnessTest, ParallelEngineMatchesSerialAnswers) {
   core::KgqanConfig serial_cfg;
   serial_cfg.qu.inference.enabled = false;
   serial_cfg.num_threads = 1;
-  serial_cfg.linking_cache_capacity = 0;
+  serial_cfg.linking_cache = false;
   core::KgqanConfig parallel_cfg = serial_cfg;
   parallel_cfg.num_threads = 8;
-  parallel_cfg.linking_cache_capacity = 1024;
+  parallel_cfg.linking_cache = true;
 
   core::KgqanEngine serial(serial_cfg);
   core::KgqanEngine parallel(parallel_cfg);

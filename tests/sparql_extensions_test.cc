@@ -308,53 +308,6 @@ TEST_F(ExtensionsTest, DistinctInteractsWithOffset) {
   EXPECT_EQ(second->At(0, 0)->value, all->At(1, 0)->value);
 }
 
-// ---- W3C SPARQL-JSON results ----
-
-TEST_F(ExtensionsTest, SparqlJsonSelectFormat) {
-  auto rs = endpoint_.Query(
-      "SELECT ?m ?l WHERE { ?m <http://x/label> ?l . "
-      "FILTER (CONTAINS(?l, \"Everest\")) }");
-  ASSERT_TRUE(rs.ok());
-  std::string json = rs->ToSparqlJson();
-  EXPECT_NE(json.find("\"vars\": [\"m\", \"l\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"uri\", \"value\": \"http://x/Everest\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"type\": \"literal\", \"value\": \"Everest\""),
-            std::string::npos);
-}
-
-TEST_F(ExtensionsTest, SparqlJsonAskAndTypedTerms) {
-  auto ask = endpoint_.Query(
-      "ASK { <http://x/Everest> <http://x/locatedIn> <http://x/Nepal> . }");
-  ASSERT_TRUE(ask.ok());
-  EXPECT_EQ(ask->ToSparqlJson(), "{\"head\": {}, \"boolean\": true}");
-
-  auto typed = endpoint_.Query(
-      "SELECT ?e ?a WHERE { <http://x/Everest> <http://x/elevation> ?e . "
-      "OPTIONAL { <http://x/Everest> <http://x/alias> ?a . } }");
-  ASSERT_TRUE(typed.ok());
-  std::string json = typed->ToSparqlJson();
-  EXPECT_NE(json.find("\"datatype\": "
-                      "\"http://www.w3.org/2001/XMLSchema#integer\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"xml:lang\": \"ne\""), std::string::npos);
-}
-
-TEST(SparqlJsonTest, EscapesSpecialCharacters) {
-  ResultSet rs({"x"});
-  rs.AddRow({rdf::StringLiteral("a\"b\\c\nd")});
-  std::string json = rs.ToSparqlJson();
-  EXPECT_NE(json.find("a\\\"b\\\\c\\nd"), std::string::npos);
-}
-
-TEST(SparqlJsonTest, UnboundCellsOmitted) {
-  ResultSet rs({"x", "y"});
-  rs.AddRow({rdf::Iri("http://a"), std::nullopt});
-  std::string json = rs.ToSparqlJson();
-  EXPECT_NE(json.find("\"x\": "), std::string::npos);
-  EXPECT_EQ(json.find("\"y\": "), std::string::npos);
-}
-
 // ---- Live updates through the endpoint ----
 
 TEST_F(ExtensionsTest, AddNTriplesIsVisibleToQueriesAndTextIndex) {

@@ -348,6 +348,22 @@ TEST_F(EvalTest, ValuesBindsTermsAbsentFromTheStore) {
   EXPECT_EQ(rs2->At(0, 0)->value, "http://nowhere/z");
 }
 
+// The evaluator caps solution rows at 100000, like the result caps of
+// public SPARQL endpoints: a cross product of two unrelated patterns over
+// 400 triples (160000 solutions) stops at the cap and still succeeds.
+TEST(EvalRowCapTest, CrossProductStopsAtRowCap) {
+  Graph g;
+  for (int i = 0; i < 400; ++i) {
+    g.AddIris("http://x/s" + std::to_string(i), "http://x/p",
+              "http://x/o" + std::to_string(i));
+  }
+  sparql::Endpoint endpoint("cap", std::move(g));
+  auto rs = endpoint.Query(
+      "SELECT ?a ?c WHERE { ?a <http://x/p> ?b . ?c <http://x/p> ?d . }");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->NumRows(), 100000u);
+}
+
 TEST_F(EvalTest, ParseErrorSurfacesAsStatus) {
   auto rs = endpoint_.Query("SELEC ?x WHERE { }");
   EXPECT_FALSE(rs.ok());

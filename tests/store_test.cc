@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <map>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "obs/metrics.h"
@@ -33,6 +35,24 @@ Graph SmallGraph() {
   g.AddIri("http://x/baltic", "http://x/label", StringLiteral("Baltic Sea"));
   g.AddIris("http://x/kaliningrad", "http://x/country", "http://x/russia");
   return g;
+}
+
+// The linker's predicate probe (outgoingPredicate / incomingPredicate of
+// Sec. 5.2): the distinct predicates of the triples with `iri` as subject
+// (or, `incoming`, as object), asked through the endpoint's SPARQL API.
+std::set<std::string> ProbePredicates(sparql::Endpoint& endpoint,
+                                      const std::string& iri, bool incoming) {
+  auto rs = endpoint.Query(
+      incoming ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + iri + "> . }"
+               : "SELECT DISTINCT ?p WHERE { <" + iri + "> ?p ?obj . }");
+  std::set<std::string> preds;
+  if (!rs.ok()) return preds;
+  for (const sparql::Row& row : rs->rows()) {
+    if (row[0].has_value()) preds.insert(row[0]->value);
+  }
+  // DISTINCT: no predicate is listed twice.
+  EXPECT_EQ(preds.size(), rs->NumRows());
+  return preds;
 }
 
 TEST(TripleStoreTest, DeduplicatesOnBuild) {
@@ -80,19 +100,12 @@ TEST(TripleStoreTest, MatchAllRespectsLimit) {
 }
 
 TEST(TripleStoreTest, OutgoingAndIncomingPredicates) {
-  Graph g = SmallGraph();
-  TermId baltic = *g.dictionary().FindIri("http://x/baltic");
-  TermId outflow = *g.dictionary().FindIri("http://x/outflow");
-  TermId nearest = *g.dictionary().FindIri("http://x/nearestCity");
-  TripleStore store(std::move(g));
-
-  std::vector<TermId> out = store.OutgoingPredicates(baltic);
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_TRUE(std::find(out.begin(), out.end(), nearest) != out.end());
-
-  std::vector<TermId> in = store.IncomingPredicates(baltic);
-  ASSERT_EQ(in.size(), 1u);
-  EXPECT_EQ(in[0], outflow);
+  sparql::Endpoint endpoint("predicates", SmallGraph());
+  EXPECT_EQ(ProbePredicates(endpoint, "http://x/baltic", /*incoming=*/false),
+            (std::set<std::string>{"http://x/label", "http://x/nearestCity",
+                                   "http://x/type"}));
+  EXPECT_EQ(ProbePredicates(endpoint, "http://x/baltic", /*incoming=*/true),
+            (std::set<std::string>{"http://x/outflow"}));
 }
 
 TEST(TripleStoreTest, EarlyTerminationInMatch) {
@@ -333,24 +346,22 @@ TEST_P(TripleStorePropertyTest, MatchesAgreeWithNaiveScan) {
 TEST_P(TripleStorePropertyTest, PredicateListsAgreeWithNaiveScan) {
   util::Rng rng(GetParam() ^ 0xABCDEF);
   Graph g;
+  std::map<std::string, std::set<std::string>> out_naive, in_naive;
   for (int i = 0; i < 200; ++i) {
-    g.AddIris("http://x/s" + std::to_string(rng.UniformInt(0, 14)),
-              "http://x/p" + std::to_string(rng.UniformInt(0, 9)),
-              "http://x/s" + std::to_string(rng.UniformInt(0, 14)));
+    std::string s = "http://x/s" + std::to_string(rng.UniformInt(0, 14));
+    std::string p = "http://x/p" + std::to_string(rng.UniformInt(0, 9));
+    std::string o = "http://x/s" + std::to_string(rng.UniformInt(0, 14));
+    g.AddIris(s, p, o);
+    out_naive[s].insert(p);
+    in_naive[o].insert(p);
   }
-  std::vector<rdf::Triple> universe(g.triples().begin(), g.triples().end());
-  rdf::TermId max_id = g.dictionary().MaxId();
-  TripleStore store(std::move(g));
-  for (TermId v = 1; v <= max_id; ++v) {
-    std::set<TermId> out_naive, in_naive;
-    for (const rdf::Triple& t : universe) {
-      if (t.s == v) out_naive.insert(t.p);
-      if (t.o == v) in_naive.insert(t.p);
-    }
-    auto out = store.OutgoingPredicates(v);
-    auto in = store.IncomingPredicates(v);
-    EXPECT_EQ(std::set<TermId>(out.begin(), out.end()), out_naive);
-    EXPECT_EQ(std::set<TermId>(in.begin(), in.end()), in_naive);
+  sparql::Endpoint endpoint("predicates", std::move(g));
+  for (int v = 0; v < 15; ++v) {
+    std::string iri = "http://x/s" + std::to_string(v);
+    EXPECT_EQ(ProbePredicates(endpoint, iri, /*incoming=*/false),
+              out_naive[iri]) << iri;
+    EXPECT_EQ(ProbePredicates(endpoint, iri, /*incoming=*/true),
+              in_naive[iri]) << iri;
   }
 }
 

@@ -82,12 +82,6 @@ TEST(StringUtilTest, Split) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(StringUtilTest, SplitWhitespace) {
-  EXPECT_EQ(SplitWhitespace("  one  two\tthree \n"),
-            (std::vector<std::string>{"one", "two", "three"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
-}
-
 TEST(StringUtilTest, JoinRoundTrip) {
   std::vector<std::string> parts{"x", "y", "z"};
   EXPECT_EQ(Join(parts, ", "), "x, y, z");
@@ -103,15 +97,7 @@ TEST(StringUtilTest, ReplaceAll) {
 TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("http://x", "http://"));
   EXPECT_FALSE(StartsWith("ftp://x", "http://"));
-  EXPECT_TRUE(EndsWith("file.nt", ".nt"));
-  EXPECT_FALSE(EndsWith(".nt", "file.nt"));
-}
-
-TEST(StringUtilTest, ContainsIgnoreCase) {
-  EXPECT_TRUE(ContainsIgnoreCase("Danish Straits", "danish"));
-  EXPECT_TRUE(ContainsIgnoreCase("Danish Straits", "STRAITS"));
-  EXPECT_FALSE(ContainsIgnoreCase("Danish", "Straits"));
-  EXPECT_TRUE(ContainsIgnoreCase("anything", ""));
+  EXPECT_FALSE(StartsWith("http", "http://"));  // Prefix longer than s.
 }
 
 TEST(StringUtilTest, SplitIdentifierWords) {
