@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <utility>
-#include <vector>
 
 #include "obs/exposition.h"
 
