@@ -46,6 +46,7 @@ std::set<std::string> ProbePredicates(sparql::Endpoint& endpoint,
       incoming ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + iri + "> . }"
                : "SELECT DISTINCT ?p WHERE { <" + iri + "> ?p ?obj . }");
   std::set<std::string> preds;
+  EXPECT_TRUE(rs.ok()) << rs.status();
   if (!rs.ok()) return preds;
   for (const sparql::Row& row : rs->rows()) {
     if (row[0].has_value()) preds.insert(row[0]->value);
