@@ -134,7 +134,7 @@ core::QaResponse EdgqaLike::Answer(const std::string& question,
       pending.push_back(e);
       continue;
     }
-    agp.edge_predicates[e] = linker.LinkRelation(agp, edge, e, endpoint);
+    agp.edge_predicates[e] = linker.LinkRelation(agp, edge, endpoint);
   }
   for (size_t e : pending) {
     const qu::Pgp::Edge& edge = pgp.edges()[e];
@@ -143,7 +143,7 @@ core::QaResponse EdgqaLike::Answer(const std::string& question,
         linker.DeriveUnknownVertices(&agp, node, endpoint);
       }
     }
-    agp.edge_predicates[e] = linker.LinkRelation(agp, edge, e, endpoint);
+    agp.edge_predicates[e] = linker.LinkRelation(agp, edge, endpoint);
   }
   resp.timings.linking_ms = watch.ElapsedMillis();
 

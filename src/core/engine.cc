@@ -82,9 +82,11 @@ std::string Explain(const KgqanResult& result) {
            util::FormatDouble(c.score, 2) + "  " +
            util::FormatDouble(c.latency_ms, 1) + " ms  " +
            std::to_string(c.rows) + (c.rows == 1 ? " row\n" : " rows\n");
-    // EXPLAIN ANALYZE: per-operator plan execution, estimate vs. actual.
+    // EXPLAIN ANALYZE: per-operator plan execution, estimate vs. actual;
+    // step numbers restart in every group.
     for (const sparql::OperatorStats& op : c.operators) {
-      out += "     step " + std::to_string(op.order) + ": pattern " +
+      out += "     group " + std::to_string(op.group) + " step " +
+             std::to_string(op.order) + ": pattern " +
              std::to_string(op.pattern) + "  est " +
              std::to_string(op.estimate) + "  rows " +
              std::to_string(op.rows_in) + " -> " +

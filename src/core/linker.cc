@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <future>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -180,57 +180,79 @@ std::string JitLinker::PredicateDescription(const std::string& iri,
 }
 
 std::vector<RelevantPredicate> JitLinker::LinkRelation(
-    const Agp& agp, const qu::Pgp::Edge& edge, size_t edge_index,
+    const Agp& agp, const qu::Pgp::Edge& edge,
     sparql::Endpoint& endpoint) const {
-  (void)edge_index;
   obs::ScopedSpan span("linking.relation");
   span.AddAttribute("label", edge.label);
   std::vector<RelevantPredicate> out;
 
   // T_rv: union of relevant vertices of the two endpoints, remembering
   // which node each vertex annotates.
-  std::vector<std::pair<std::string, size_t>> anchor_vertices;
+  std::vector<std::pair<const std::string*, size_t>> anchor_vertices;
   for (size_t node : {edge.a, edge.b}) {
     for (const RelevantVertex& rv : agp.node_vertices[node]) {
-      anchor_vertices.emplace_back(rv.iri, node);
+      anchor_vertices.emplace_back(&rv.iri, node);
     }
   }
 
   // outgoingPredicate(v) and incomingPredicate(v) (Sec. 5.2); both
   // directions because the PGP is undirected.  One endpoint request per
-  // (anchor, direction), issued in walk order.  Each distinct predicate is
+  // (anchor, direction) that the anchor table cannot answer, issued in
+  // walk order.  Each probe is DISTINCT ?p, so a pair contributes its
+  // predicates once: a repeated (anchor, direction) is skipped once walked,
+  // i.e. after a hit or a successful probe.  Each distinct predicate is
   // described at its first encounter and scored once, after the walk.
+  const std::string kg =
+      cache_ != nullptr ? endpoint.cache_identity() : std::string();
   std::unordered_map<std::string, double> scores;
   // Per distinct predicate, in first-encounter order: its score slot in
   // `scores` and its description.
   std::vector<std::pair<double*, std::string>> unscored;
-  std::unordered_set<std::string> seen;  // (p, v, o) dedup.
+  std::vector<std::pair<const std::string*, bool>> walked;
+  std::vector<std::string_view> predicates;
   for (const auto& [v_iri, node] : anchor_vertices) {
     for (bool vertex_is_object : {false, true}) {
-      std::string query =
-          vertex_is_object
-              ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + v_iri + "> . }"
-              : "SELECT DISTINCT ?p WHERE { <" + v_iri + "> ?p ?obj . }";
-      auto rs = [&] {
-        obs::ScopedSpan probe_span("linking.predicate_probe");
-        return endpoint.Query(query);
-      }();
-      if (!rs.ok()) continue;
-      for (size_t r = 0; r < rs->NumRows(); ++r) {
-        const auto& p = rs->At(r, 0);
-        if (!p.has_value() || !p->IsIri()) continue;
-        const std::string& p_iri = p->value;
-        std::string key =
-            p_iri + "\x1f" + v_iri + (vertex_is_object ? "\x1fO" : "\x1fS");
-        if (!seen.insert(key).second) continue;
-        auto [it, fresh] = scores.emplace(p_iri, 0.0);
+      const bool repeated = std::any_of(
+          walked.begin(), walked.end(), [&](const auto& pair) {
+            return pair.second == vertex_is_object && *pair.first == *v_iri;
+          });
+      if (repeated) continue;
+      // Probe rows (when probed) back the views in `predicates` until the
+      // next pair.
+      std::optional<sparql::ResultSet> rs;
+      if (cache_ == nullptr || !cache_->GetAnchorPredicates(
+                                   *v_iri, vertex_is_object, kg,
+                                   &predicates)) {
+        std::string query =
+            vertex_is_object
+                ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + *v_iri + "> . }"
+                : "SELECT DISTINCT ?p WHERE { <" + *v_iri + "> ?p ?obj . }";
+        auto probed = [&] {
+          obs::ScopedSpan probe_span("linking.predicate_probe");
+          return endpoint.Query(query);
+        }();
+        if (!probed.ok()) continue;
+        rs = std::move(probed).value();
+        predicates.clear();
+        for (size_t r = 0; r < rs->NumRows(); ++r) {
+          const auto& p = rs->At(r, 0);
+          if (p.has_value() && p->IsIri()) predicates.push_back(p->value);
+        }
+        if (cache_ != nullptr && !util::Cancelled()) {
+          cache_->PutAnchorPredicates(*v_iri, vertex_is_object, kg,
+                                      predicates);
+        }
+      }
+      walked.emplace_back(v_iri, vertex_is_object);
+      for (std::string_view p_iri : predicates) {
+        auto [it, fresh] = scores.try_emplace(std::string(p_iri), 0.0);
         if (fresh) {
           unscored.emplace_back(&it->second,
-                                PredicateDescription(p_iri, endpoint));
+                                PredicateDescription(it->first, endpoint));
         }
         RelevantPredicate rp;
-        rp.iri = p_iri;
-        rp.anchor_iri = v_iri;
+        rp.iri = it->first;
+        rp.anchor_iri = *v_iri;
         rp.anchor_node = node;
         rp.vertex_is_object = vertex_is_object;
         out.push_back(std::move(rp));
@@ -301,11 +323,11 @@ Agp JitLinker::Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const {
     }
     if (pool_ != nullptr) {
       edge_futures.emplace_back(
-          e, pool_->Submit([this, &agp, &edge, e, &endpoint]() {
-            return LinkRelation(agp, edge, e, endpoint);
+          e, pool_->Submit([this, &agp, &edge, &endpoint]() {
+            return LinkRelation(agp, edge, endpoint);
           }));
     } else {
-      agp.edge_predicates[e] = LinkRelation(agp, pgp.edges()[e], e, endpoint);
+      agp.edge_predicates[e] = LinkRelation(agp, edge, endpoint);
     }
   }
   for (auto& [e, future] : edge_futures) {
@@ -323,7 +345,7 @@ Agp JitLinker::Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const {
       if (!agp.node_vertices[node].empty()) continue;
       DeriveUnknownVertices(&agp, node, endpoint);
     }
-    agp.edge_predicates[e] = LinkRelation(agp, pgp.edges()[e], e, endpoint);
+    agp.edge_predicates[e] = LinkRelation(agp, edge, endpoint);
   }
   return agp;
 }

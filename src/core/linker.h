@@ -12,13 +12,17 @@
 // is an independent pure function of the PGP and the endpoint.  When
 // constructed with a LinkingCache, entity-linking results and cryptic-
 // predicate descriptions are memoized across questions, keyed by (phrase,
-// endpoint identity, mode).
+// endpoint identity, mode), and so are the predicate lists of Alg. 2's
+// outgoing/incoming probes, per (anchor vertex, direction) in the cache's
+// anchor table for the endpoint's current identity.  A hit replaces the
+// probe and yields the same predicates in the same order, so AGPs are
+// identical with and without the cache.
 //
 // Cancellation: probes issued after the calling thread's util::CancelToken
 // expires fail fast at the endpoint, and *no* result computed on-or-after
-// the expiry is written to the linking cache — a cancelled wave must not
-// poison the cache with partial (typically empty) link sets for later
-// questions.
+// the expiry is written to the linking cache (any mode) — a cancelled wave
+// must not poison the cache with partial (typically empty) link sets for
+// later questions.
 
 #ifndef KGQAN_CORE_LINKER_H_
 #define KGQAN_CORE_LINKER_H_
@@ -71,8 +75,14 @@ class JitLinker {
   // node_vertices they filled themselves.
   std::vector<RelevantPredicate> LinkRelation(const Agp& agp,
                                               const qu::Pgp::Edge& edge,
-                                              size_t edge_index,
                                               sparql::Endpoint& endpoint) const;
+  // The form kgqabench/layers.cc calls, with the edge's (unused) index.
+  std::vector<RelevantPredicate> LinkRelation(const Agp& agp,
+                                              const qu::Pgp::Edge& edge,
+                                              size_t /*edge_index*/,
+                                              sparql::Endpoint& endpoint) const {
+    return LinkRelation(agp, edge, endpoint);
+  }
 
   // Path support: materializes candidate vertices for an intermediate
   // unknown node from the already-linked edges incident to it, so that

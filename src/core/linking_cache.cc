@@ -67,18 +67,103 @@ void LinkingCache::PutPredicateDescription(std::string_view iri,
   RecordEvictions(evictions);
 }
 
+bool LinkingCache::GetAnchorPredicates(
+    const std::string& anchor, bool incoming, std::string_view kg,
+    std::vector<std::string_view>* predicates) const {
+  const bool hit = anchors_.Get(anchor, incoming, kg, predicates);
+  RecordLookup(hit);
+  return hit;
+}
+
+void LinkingCache::PutAnchorPredicates(
+    const std::string& anchor, bool incoming, std::string_view kg,
+    const std::vector<std::string_view>& predicates) {
+  anchors_.Put(anchor, incoming, kg, predicates);
+}
+
+bool LinkingCache::AnchorTable::Get(const std::string& anchor, bool incoming,
+                                    std::string_view kg,
+                                    std::vector<std::string_view>* predicates) {
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (identity_ == kg) {
+      auto it = lists_.find(anchor);
+      if (it == lists_.end()) return false;
+      const uint32_t begin = it->second.begin[incoming];
+      if (begin == kAbsent) return false;
+      const uint32_t count = it->second.count[incoming];
+      predicates->clear();
+      for (uint32_t i = begin; i < begin + count; ++i) {
+        predicates->push_back(iris_[ids_[i]]);
+      }
+      return true;
+    }
+  }
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (identity_ != kg) ResetTo(kg);
+  return false;
+}
+
+void LinkingCache::AnchorTable::Put(
+    const std::string& anchor, bool incoming, std::string_view kg,
+    const std::vector<std::string_view>& predicates) {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (identity_ != kg) ResetTo(kg);
+  if (entries_ >= kAnchorTableCapacity) return;
+  auto [it, inserted] = lists_.try_emplace(anchor);
+  Lists& lists = it->second;
+  // Already stored by a concurrent miss on the same pair.
+  if (lists.begin[incoming] != kAbsent) return;
+  const size_t begin = ids_.size();
+  for (std::string_view iri : predicates) {
+    auto found = iri_ids_.find(iri);
+    if (found == iri_ids_.end()) {
+      if (iris_.size() >= kInternedPredicateCapacity) {
+        ids_.resize(begin);
+        if (inserted) lists_.erase(it);
+        return;
+      }
+      const std::string& interned = iris_.emplace_back(iri);
+      found = iri_ids_.emplace(interned, uint32_t(iris_.size() - 1)).first;
+    }
+    ids_.push_back(found->second);
+  }
+  lists.begin[incoming] = static_cast<uint32_t>(begin);
+  lists.count[incoming] = static_cast<uint32_t>(predicates.size());
+  ++entries_;
+}
+
+size_t LinkingCache::AnchorTable::Entries() const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  return entries_;
+}
+
+void LinkingCache::AnchorTable::Clear() {
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  ResetTo("");
+}
+
+void LinkingCache::AnchorTable::ResetTo(std::string_view kg) {
+  identity_.assign(kg);
+  lists_.clear();
+  ids_.clear();
+  entries_ = 0;
+}
+
 LinkingCacheStats LinkingCache::stats() const {
   LinkingCacheStats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.entries = vertices_.TotalEntries() + descriptions_.TotalEntries();
+  stats.entries = vertices_.TotalEntries() + descriptions_.TotalEntries() +
+                  anchors_.Entries();
   return stats;
 }
 
 void LinkingCache::Clear() {
   vertices_.Clear();
   descriptions_.Clear();
+  anchors_.Clear();
 }
 
 }  // namespace kgqan::core

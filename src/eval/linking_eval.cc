@@ -168,7 +168,7 @@ LinkingScores EvaluateKgqanLinking(const core::KgqanEngine& engine,
     }
     std::vector<std::string> out;
     for (const core::RelevantPredicate& rp :
-         linker.LinkRelation(agp, agp.pgp.edges()[0], 0, *bench.endpoint)) {
+         linker.LinkRelation(agp, agp.pgp.edges()[0], *bench.endpoint)) {
       out.push_back(rp.iri);
     }
     return out;

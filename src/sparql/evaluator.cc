@@ -118,6 +118,8 @@ class Evaluator {
       slots_.SlotOf(agg.var.name);
     }
 
+    if (profile_ != nullptr) NumberGroups(query.where);
+
     std::vector<Binding> rows;
     rows.push_back(Binding(slots_.size(), kNullTermId));
     KGQAN_ASSIGN_OR_RETURN(rows, EvalGroup(query.where, std::move(rows)));
@@ -187,10 +189,21 @@ class Evaluator {
     }
   }
 
-  // Publishes one executed join step to the active span and the bound
-  // operator-stats sink.  Called only on the analyze path.
-  void NoteStep(const PlanStep& step, size_t order, size_t rows_in,
-                size_t rows_out, obs::ScopedSpan* span) {
+  // Numbers `group` and its nested groups in pre-order, in the order
+  // EvalGroup evaluates them (UNION branches, then OPTIONALs).
+  void NumberGroups(const GroupGraphPattern& group) {
+    group_ids_.emplace(&group, group_ids_.size());
+    for (const auto& branches : group.unions) {
+      for (const GroupGraphPattern& branch : branches) NumberGroups(branch);
+    }
+    for (const GroupGraphPattern& opt : group.optionals) NumberGroups(opt);
+  }
+
+  // Publishes one executed join step of `group` to the active span and the
+  // bound operator-stats sink.  Called only on the analyze path.
+  void NoteStep(const GroupGraphPattern& group, const PlanStep& step,
+                size_t order, size_t rows_in, size_t rows_out,
+                obs::ScopedSpan* span) {
     if (span != nullptr && span->recording()) {
       span->AddAttribute("pattern", std::to_string(step.pattern));
       span->AddAttribute("order", std::to_string(order));
@@ -200,6 +213,7 @@ class Evaluator {
     }
     if (profile_ != nullptr) {
       OperatorStats stats;
+      stats.group = group_ids_.at(&group);
       stats.pattern = step.pattern;
       stats.order = order;
       stats.estimate = step.estimate;
@@ -316,7 +330,7 @@ class Evaluator {
         const size_t rows_in = rows.size();
         KGQAN_ASSIGN_OR_RETURN(next, JoinStep(cp, rows));
         if (analyze_) {
-          NoteStep(step, order, rows_in, next.size(),
+          NoteStep(group, step, order, rows_in, next.size(),
                    span.has_value() ? &*span : nullptr);
         }
       }
@@ -771,6 +785,8 @@ class Evaluator {
   // the engine) and the once-per-query analyze decision.
   EvalProfile* profile_ = nullptr;
   bool analyze_ = false;
+  // Pre-order group numbers, filled only when a profile sink is bound.
+  std::unordered_map<const GroupGraphPattern*, size_t> group_ids_;
 };
 
 }  // namespace

@@ -29,10 +29,14 @@
 namespace kgqan::sparql {
 
 // Per-operator runtime statistics for EXPLAIN ANALYZE: one entry per
-// executed join step, in execution order, with the planner's cardinality
+// executed join step, in execution order (a group evaluated once per input
+// row, like an OPTIONAL, repeats its steps), with the planner's cardinality
 // estimate next to the actual row counts so misestimates are visible per
 // query instead of via ad-hoc benching.
 struct OperatorStats {
+  // Group the step ran in: the query's groups numbered in pre-order, WHERE
+  // = 0, then each UNION branch and OPTIONAL in evaluation order.
+  size_t group = 0;
   size_t pattern = 0;   // Pattern index within its group (plan input order).
   size_t order = 0;     // Execution position chosen by the planner.
   size_t estimate = 0;  // Planner cardinality estimate (Locate range size).

@@ -29,6 +29,7 @@
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "rdf/graph.h"
+#include "rdf/ntriples.h"
 #include "rdf/term.h"
 #include "serve/qa_server.h"
 #include "sparql/endpoint.h"
@@ -539,6 +540,62 @@ TEST(ExplainAnalyzeTest, SampledTraceCollectsOperatorsAndTraceId) {
     if (c.executed && !c.operators.empty()) any_operators = true;
   }
   EXPECT_TRUE(any_operators);
+}
+
+// The quickstart KG: the running example q^E's slice of DBpedia.
+constexpr const char* kQuickstartNTriples = R"(
+<http://dbpedia.org/resource/Danish_Straits> <http://www.w3.org/2000/01/rdf-schema#label> "Danish Straits" .
+<http://dbpedia.org/resource/Danish_Straits> <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Baltic_Sea> .
+<http://dbpedia.org/resource/Baltic_Sea> <http://www.w3.org/2000/01/rdf-schema#label> "Baltic Sea" .
+<http://dbpedia.org/resource/Baltic_Sea> <http://dbpedia.org/ontology/nearestCity> <http://dbpedia.org/resource/Kaliningrad> .
+<http://dbpedia.org/resource/Baltic_Sea> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://dbpedia.org/ontology/Sea> .
+<http://dbpedia.org/resource/North_Sea> <http://www.w3.org/2000/01/rdf-schema#label> "North Sea" .
+<http://dbpedia.org/resource/North_Sea> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://dbpedia.org/ontology/Sea> .
+<http://dbpedia.org/resource/Kaliningrad> <http://www.w3.org/2000/01/rdf-schema#label> "Kaliningrad" .
+<http://dbpedia.org/resource/Yantar_Kaliningrad> <http://www.w3.org/2000/01/rdf-schema#label> "Yantar, Kaliningrad" .
+<http://dbpedia.org/resource/Kaliningrad> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://dbpedia.org/ontology/City> .
+)";
+
+TEST(ExplainAnalyzeTest, StepsNameTheirGroup) {
+  // Candidate #0 of q^E joins two WHERE patterns, then evaluates the
+  // OPTIONAL rdf:type group once for its one row: that group's step
+  // numbering restarts, and each line says which group it belongs to.
+  auto graph = rdf::ParseNTriples(kQuickstartNTriples);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  sparql::Endpoint endpoint("quickstart", std::move(graph).value());
+  core::KgqanEngine engine(ServingConfig());
+  obs::Trace trace(obs::Trace::Mode::kFull);
+  core::KgqanResult result = engine.AnswerFull(
+      "Name the sea into which Danish Straits flows and has Kaliningrad as "
+      "one of the city on the shore.",
+      endpoint, &trace);
+  ASSERT_FALSE(result.candidates.empty());
+  const core::CandidateQueryStats& top = result.candidates[0];
+  ASSERT_TRUE(top.executed);
+  ASSERT_EQ(top.operators.size(), 3u);
+  EXPECT_EQ(top.operators[0].group, 0u);
+  EXPECT_EQ(top.operators[1].group, 0u);
+  EXPECT_EQ(top.operators[2].group, 1u);
+  EXPECT_NE(result.top_sparql.find("OPTIONAL"), std::string::npos);
+
+  const std::string explain = core::Explain(result);
+  const size_t begin = explain.find("  #0  ");
+  ASSERT_NE(begin, std::string::npos) << explain;
+  const size_t end = explain.find("  #1  ", begin);
+  std::vector<std::string> steps;
+  std::istringstream block(explain.substr(begin, end - begin));
+  for (std::string line; std::getline(block, line);) {
+    const size_t step = line.find("group ");
+    if (step != std::string::npos) {
+      steps.push_back(line.substr(step, line.find("  est") - step));
+    }
+  }
+  EXPECT_EQ(steps, (std::vector<std::string>{
+                       "group 0 step 0: pattern 0",
+                       "group 0 step 1: pattern 1",
+                       "group 1 step 0: pattern 0",
+                   }))
+      << explain;
 }
 
 // ---------------------------------------------------------------------------
