@@ -1,4 +1,4 @@
-// Cache for JIT linking results, one KG identity component per key.
+// Cache for JIT linking results, scoped by KG identity.
 //
 // The linker's endpoint round-trips are pure functions of their input and
 // the KG contents, so repeated questions ("Who is the president of
