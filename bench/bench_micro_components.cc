@@ -4,11 +4,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "benchgen/kg.h"
+#include "core/agp.h"
+#include "core/bgp.h"
 #include "core/engine.h"
 #include "embedding/affinity.h"
 #include "qu/triple_pattern_generator.h"
 #include "sparql/endpoint.h"
+#include "sparql/lexer.h"
 #include "sparql/parser.h"
 #include "text/text_index.h"
 
@@ -65,6 +70,58 @@ void BM_SparqlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparqlParse);
+
+// An Alg. 3 candidate as the engine renders it: two patterns plus the
+// OPTIONAL rdf:type clause, 23 tokens.
+constexpr const char* kCandidateSparql =
+    "SELECT DISTINCT ?u1 ?c WHERE {\n"
+    "  <http://dbpedia.org/resource/Danish_Straits> "
+    "<http://dbpedia.org/property/outflow> ?u1 .\n"
+    "  ?u1 <http://dbpedia.org/ontology/nearestCity> "
+    "<http://dbpedia.org/resource/Kaliningrad> .\n"
+    "  OPTIONAL { ?u1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c . "
+    "}\n}\n";
+
+void BM_SparqlLex(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sparql::Lex(kCandidateSparql));
+  }
+}
+BENCHMARK(BM_SparqlLex);
+
+// A two-edge star ?u1 - A, ?u1 - B with 24 and 17 relevant predicates
+// anchored at A and B: 24 x 17 consistent combinations, top 40 kept.
+void BM_BgpGenerate(benchmark::State& state) {
+  core::Agp agp;
+  agp.pgp = qu::Pgp::Build(
+      {{qu::Unknown(1), "flows into", qu::EntityPhrase("A")},
+       {qu::Unknown(1), "near", qu::EntityPhrase("B")}});
+  const auto& nodes = agp.pgp.nodes();
+  agp.node_vertices.resize(nodes.size());
+  agp.edge_predicates.resize(2);
+  for (size_t e = 0; e < 2; ++e) {
+    const size_t anchor = agp.pgp.edges()[e].b;
+    const std::string vertex =
+        "http://dbpedia.org/resource/Anchor_" + std::to_string(e);
+    agp.node_vertices[anchor] = {{vertex, 0.9}};
+    const int predicates = e == 0 ? 24 : 17;
+    for (int p = 0; p < predicates; ++p) {
+      core::RelevantPredicate rp;
+      rp.iri = "http://dbpedia.org/ontology/predicate" + std::to_string(p);
+      rp.score = 1.0 / (1.0 + p % 7);
+      rp.anchor_iri = vertex;
+      rp.anchor_node = anchor;
+      rp.vertex_is_object = p % 2 == 0;
+      agp.edge_predicates[e].push_back(std::move(rp));
+    }
+  }
+  core::KgqanConfig config;
+  core::BgpGenerator generator(&config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(generator.Generate(agp));
+  }
+}
+BENCHMARK(BM_BgpGenerate);
 
 void BM_SparqlJoinQuery(benchmark::State& state) {
   auto& ep = SharedEndpoint();

@@ -39,8 +39,11 @@ class BgpGenerator {
   // (consistent vertex assignments per PGP node), scores each BGP with
   // Eq. 2 and returns the top max_queries, best first.  Empty result: some
   // edge has no relevant predicate, i.e. the question cannot be mapped to
-  // this KG.
-  std::vector<Bgp> Generate(const Agp& agp) const;
+  // this KG.  Candidates are ranked by index and only the top max_queries
+  // are materialized as strings.  `combinations`, when given, receives the
+  // number of consistent combinations enumerated before the cut.
+  std::vector<Bgp> Generate(const Agp& agp,
+                            size_t* combinations = nullptr) const;
 
   // Renders a SELECT query for the main unknown, extended with the
   // OPTIONAL <unknown, rdf:type, ?c> clause used by post-filtration.

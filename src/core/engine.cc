@@ -137,6 +137,7 @@ RuntimeCounters KgqanEngine::Counters() const {
 
 std::vector<rdf::Term> KgqanEngine::RunSelectCandidate(
     const Bgp& bgp, size_t rank, const std::string& var,
+    std::string_view top_sparql,
     const nlp::AnswerTypePrediction& answer_type, sparql::Endpoint& endpoint,
     CandidateQueryStats* stats) const {
   obs::ScopedSpan span("execution.candidate");
@@ -157,7 +158,9 @@ std::vector<rdf::Term> KgqanEngine::RunSelectCandidate(
   sparql::EvalProfile profile;
   std::optional<sparql::ScopedEvalProfile> analyze;
   if (span.recording()) analyze.emplace(&profile);
-  auto rs = endpoint.Query(BgpGenerator::ToSelectSparql(bgp, var));
+  std::string rendered;
+  if (rank != 0) rendered = BgpGenerator::ToSelectSparql(bgp, var);
+  auto rs = endpoint.Query(rank == 0 ? top_sparql : rendered);
   analyze.reset();
   stats->operators = std::move(profile.operators);
   if (!rs.ok() || rs->NumRows() == 0) return finish({});
@@ -216,15 +219,18 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
                                        KgqanResult* result) const {
   // ASK semantics: the question holds if any of the ranked candidate
   // queries holds in the KG.
-  auto run_ask = [this, &endpoint](const Bgp& bgp, size_t rank,
-                                   CandidateQueryStats* stats) {
+  auto run_ask = [this, &endpoint, result](const Bgp& bgp, size_t rank,
+                                           CandidateQueryStats* stats) {
     obs::ScopedSpan span("execution.candidate");
     if (span.recording()) span.AddAttribute("rank", std::to_string(rank));
     stats->executed = true;
     sparql::EvalProfile profile;
     std::optional<sparql::ScopedEvalProfile> analyze;
     if (span.recording()) analyze.emplace(&profile);
-    auto rs = endpoint.Query(BgpGenerator::ToAskSparql(bgp));
+    std::string rendered;
+    if (rank != 0) rendered = BgpGenerator::ToAskSparql(bgp);
+    auto rs = endpoint.Query(rank == 0 ? std::string_view(result->top_sparql)
+                                       : rendered);
     analyze.reset();
     stats->operators = std::move(profile.operators);
     bool held = rs.ok() && rs->is_ask() && rs->ask_value();
@@ -323,8 +329,8 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
         break;
       }
       ++result->queries_executed;
-      if (!combine(bgp, RunSelectCandidate(bgp, i, var, result->answer_type,
-                                           endpoint,
+      if (!combine(bgp, RunSelectCandidate(bgp, i, var, result->top_sparql,
+                                           result->answer_type, endpoint,
                                            &result->candidates[i]))) {
         break;
       }
@@ -346,8 +352,9 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
       const Bgp& bgp = bgps[i];
       futures.push_back(
           pool_->Submit([this, &bgp, i, &var, result, &endpoint]() {
-            return RunSelectCandidate(bgp, i, var, result->answer_type,
-                                      endpoint, &result->candidates[i]);
+            return RunSelectCandidate(bgp, i, var, result->top_sparql,
+                                      result->answer_type, endpoint,
+                                      &result->candidates[i]);
           }));
     }
     bool done = false;
@@ -421,7 +428,15 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
 
   // ---- Phase 3: execution and filtration. ----
   obs::ScopedSpan span("execution");
-  std::vector<Bgp> bgps = bgp_generator_.Generate(result.agp);
+  std::vector<Bgp> bgps;
+  {
+    obs::ScopedSpan generate_span("bgp.generate");
+    size_t combinations = 0;
+    bgps = bgp_generator_.Generate(result.agp, &combinations);
+    if (generate_span.recording()) {
+      generate_span.AddAttribute("combinations", std::to_string(combinations));
+    }
+  }
   result.queries_generated = bgps.size();
   // Preallocate one stats slot per candidate so parallel execution waves
   // write distinct slots without synchronization.
@@ -443,6 +458,7 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
   if (result.response.is_boolean) {
     // Record the top candidate's SPARQL up front — before execution, which
     // a deadline may truncate — so slow-question forensics always see it.
+    // Execution reuses it for rank 0.
     if (!bgps.empty()) {
       result.top_sparql = BgpGenerator::ToAskSparql(bgps.front());
     }

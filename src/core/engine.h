@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/agp.h"
@@ -148,8 +149,11 @@ class KgqanEngine : public QaSystem {
   // Fills `stats` (the candidate's preallocated slot — distinct per task,
   // so parallel waves write without synchronization) and records an
   // "execution.candidate" span.
+  // `top_sparql` is rank 0's query, rendered once by AnswerFull; other
+  // ranks are rendered here.
   std::vector<rdf::Term> RunSelectCandidate(
       const Bgp& bgp, size_t rank, const std::string& var,
+      std::string_view top_sparql,
       const nlp::AnswerTypePrediction& answer_type, sparql::Endpoint& endpoint,
       CandidateQueryStats* stats) const;
 

@@ -83,8 +83,10 @@ std::string ToSparql(const GroupGraphPattern& group, int indent) {
            ToSparql(tp.o) + " .\n";
   }
   for (const TextPattern& tp : group.text_patterns) {
-    out += Indent(indent + 2) + "?" + tp.var.name + " <bif:contains> \"" +
-           tp.expr + "\" .\n";
+    // Escaped like a string literal, so a quote in the expression
+    // survives a reparse.
+    out += Indent(indent + 2) + "?" + tp.var.name + " <bif:contains> " +
+           rdf::ToNTriples(rdf::StringLiteral(tp.expr)) + " .\n";
   }
   for (const InlineValues& iv : group.values) {
     out += Indent(indent + 2) + "VALUES ?" + iv.var.name + " {";

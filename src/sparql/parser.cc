@@ -1,7 +1,11 @@
 #include "sparql/parser.h"
 
-#include <unordered_map>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "sparql/lexer.h"
 #include "util/string_util.h"
@@ -13,28 +17,23 @@ namespace {
 using util::Status;
 using util::StatusOr;
 
+// Terms are built straight from the token views: the only strings a parse
+// allocates are the AST's own.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(const TokenList& tokens) : tokens_(tokens) {}
 
   StatusOr<Query> Parse() {
     Query query;
     KGQAN_RETURN_IF_ERROR(ParsePrologue());
-    const Token& head = Peek();
-    if (head.kind != TokenKind::kKeyword) {
-      return Error("expected SELECT or ASK");
-    }
-    if (head.text == "SELECT") {
-      Advance();
+    if (Consume(Symbol::kSelect)) {
       query.form = Query::Form::kSelect;
       KGQAN_RETURN_IF_ERROR(ParseSelectClause(&query));
-      if (!ConsumeKeyword("WHERE")) {
-        // WHERE keyword is optional in SPARQL.
-      }
+      // WHERE keyword is optional in SPARQL.
+      Consume(Symbol::kWhere);
       KGQAN_ASSIGN_OR_RETURN(query.where, ParseGroup());
       KGQAN_RETURN_IF_ERROR(ParseModifiers(&query));
-    } else if (head.text == "ASK") {
-      Advance();
+    } else if (Consume(Symbol::kAsk)) {
       query.form = Query::Form::kAsk;
       KGQAN_ASSIGN_OR_RETURN(query.where, ParseGroup());
     } else {
@@ -51,20 +50,11 @@ class Parser {
     return tokens_[idx];
   }
   const Token& Advance() { return tokens_[pos_++]; }
+  std::string AdvanceText() { return std::string(Advance().text); }
 
-  bool CheckPunct(std::string_view p) const {
-    return Peek().kind == TokenKind::kPunct && Peek().text == p;
-  }
-  bool ConsumePunct(std::string_view p) {
-    if (!CheckPunct(p)) return false;
-    Advance();
-    return true;
-  }
-  bool CheckKeyword(std::string_view k) const {
-    return Peek().kind == TokenKind::kKeyword && Peek().text == k;
-  }
-  bool ConsumeKeyword(std::string_view k) {
-    if (!CheckKeyword(k)) return false;
+  bool Check(Symbol symbol) const { return Peek().symbol == symbol; }
+  bool Consume(Symbol symbol) {
+    if (!Check(symbol)) return false;
     Advance();
     return true;
   }
@@ -75,64 +65,74 @@ class Parser {
   }
 
   Status ParsePrologue() {
-    while (ConsumeKeyword("PREFIX")) {
+    while (Consume(Symbol::kPrefix)) {
       if (Peek().kind != TokenKind::kPname) {
         return Error("expected prefix name");
       }
-      std::string pname = Advance().text;
+      std::string_view pname = Advance().text;
       // pname is "pfx:"; strip the colon (local part is empty).
-      size_t colon = pname.find(':');
-      std::string pfx = pname.substr(0, colon);
+      std::string_view pfx = pname.substr(0, pname.find(':'));
       if (Peek().kind != TokenKind::kIriRef) {
         return Error("expected IRI after PREFIX");
       }
-      prefixes_[pfx] = Advance().text;
+      std::string_view iri = Advance().text;
+      // A later declaration of the same prefix wins.
+      if (std::string_view* base = FindPrefix(pfx)) {
+        *base = iri;
+      } else {
+        prefixes_.emplace_back(pfx, iri);
+      }
     }
     return Status::Ok();
   }
 
   Status ParseSelectClause(Query* query) {
-    if (ConsumeKeyword("DISTINCT")) query->distinct = true;
-    if (ConsumePunct("*")) {
+    if (Consume(Symbol::kDistinct)) query->distinct = true;
+    if (Consume(Symbol::kStar)) {
       query->select_all = true;
       return Status::Ok();
     }
     bool any = false;
     while (true) {
       if (Peek().kind == TokenKind::kVar) {
-        query->select_vars.push_back(Var{Advance().text});
+        query->select_vars.push_back(Var{AdvanceText()});
         any = true;
         continue;
       }
-      if (CheckPunct("(")) {
-        Advance();
+      if (Consume(Symbol::kLParen)) {
         Aggregate agg;
-        if (ConsumeKeyword("COUNT")) {
+        if (Consume(Symbol::kCount)) {
           agg.op = Aggregate::Op::kCount;
-        } else if (ConsumeKeyword("MIN")) {
+        } else if (Consume(Symbol::kMin)) {
           agg.op = Aggregate::Op::kMin;
-        } else if (ConsumeKeyword("MAX")) {
+        } else if (Consume(Symbol::kMax)) {
           agg.op = Aggregate::Op::kMax;
-        } else if (ConsumeKeyword("SUM")) {
+        } else if (Consume(Symbol::kSum)) {
           agg.op = Aggregate::Op::kSum;
-        } else if (ConsumeKeyword("AVG")) {
+        } else if (Consume(Symbol::kAvg)) {
           agg.op = Aggregate::Op::kAvg;
         } else {
           return Error("expected aggregate function");
         }
-        if (!ConsumePunct("(")) return Error("expected '(' after aggregate");
-        if (ConsumeKeyword("DISTINCT")) agg.distinct = true;
+        if (!Consume(Symbol::kLParen)) {
+          return Error("expected '(' after aggregate");
+        }
+        if (Consume(Symbol::kDistinct)) agg.distinct = true;
         if (Peek().kind != TokenKind::kVar) {
           return Error("expected variable in aggregate");
         }
-        agg.var = Var{Advance().text};
-        if (!ConsumePunct(")")) return Error("expected ')' in aggregate");
-        if (!ConsumeKeyword("AS")) return Error("expected AS");
+        agg.var = Var{AdvanceText()};
+        if (!Consume(Symbol::kRParen)) {
+          return Error("expected ')' in aggregate");
+        }
+        if (!Consume(Symbol::kAs)) return Error("expected AS");
         if (Peek().kind != TokenKind::kVar) {
           return Error("expected alias variable");
         }
-        agg.alias = Var{Advance().text};
-        if (!ConsumePunct(")")) return Error("expected ')' after alias");
+        agg.alias = Var{AdvanceText()};
+        if (!Consume(Symbol::kRParen)) {
+          return Error("expected ')' after alias");
+        }
         query->aggregates.push_back(std::move(agg));
         any = true;
         continue;
@@ -145,21 +145,21 @@ class Parser {
 
   Status ParseModifiers(Query* query) {
     while (true) {
-      if (ConsumeKeyword("ORDER")) {
-        if (!ConsumeKeyword("BY")) return Error("expected BY after ORDER");
+      if (Consume(Symbol::kOrder)) {
+        if (!Consume(Symbol::kBy)) return Error("expected BY after ORDER");
         bool any = false;
         while (true) {
           OrderKey key;
-          if (ConsumeKeyword("ASC") || ConsumeKeyword("DESC")) {
-            key.descending = tokens_[pos_ - 1].text == "DESC";
-            if (!ConsumePunct("(")) return Error("expected '('");
+          if (Check(Symbol::kAsc) || Check(Symbol::kDesc)) {
+            key.descending = Advance().symbol == Symbol::kDesc;
+            if (!Consume(Symbol::kLParen)) return Error("expected '('");
             if (Peek().kind != TokenKind::kVar) {
               return Error("expected variable in ORDER BY");
             }
-            key.var = Var{Advance().text};
-            if (!ConsumePunct(")")) return Error("expected ')'");
+            key.var = Var{AdvanceText()};
+            if (!Consume(Symbol::kRParen)) return Error("expected ')'");
           } else if (Peek().kind == TokenKind::kVar) {
-            key.var = Var{Advance().text};
+            key.var = Var{AdvanceText()};
           } else {
             break;
           }
@@ -169,18 +169,12 @@ class Parser {
         if (!any) return Error("empty ORDER BY");
         continue;
       }
-      if (ConsumeKeyword("LIMIT")) {
-        if (Peek().kind != TokenKind::kInteger) {
-          return Error("expected integer after LIMIT");
-        }
-        query->limit = static_cast<size_t>(std::stoll(Advance().text));
+      if (Consume(Symbol::kLimit)) {
+        KGQAN_RETURN_IF_ERROR(ParseCount("LIMIT", &query->limit));
         continue;
       }
-      if (ConsumeKeyword("OFFSET")) {
-        if (Peek().kind != TokenKind::kInteger) {
-          return Error("expected integer after OFFSET");
-        }
-        query->offset = static_cast<size_t>(std::stoll(Advance().text));
+      if (Consume(Symbol::kOffset)) {
+        KGQAN_RETURN_IF_ERROR(ParseCount("OFFSET", &query->offset));
         continue;
       }
       break;
@@ -188,121 +182,176 @@ class Parser {
     return Status::Ok();
   }
 
-  StatusOr<rdf::Term> ResolvePname(const std::string& pname) {
-    size_t colon = pname.find(':');
-    std::string pfx = pname.substr(0, colon);
-    std::string local = pname.substr(colon + 1);
-    // `a` shorthand is handled by the caller; bif:contains passes through.
-    if (pfx == "bif") {
-      return rdf::Iri("bif:" + local);
+  // The integer after LIMIT or OFFSET.  It counts rows, so a negative
+  // value or one past size_t is an error, not a wrapped or thrown one.
+  Status ParseCount(std::string_view keyword, size_t* out) {
+    if (Peek().kind != TokenKind::kInteger) {
+      return Error("expected integer after " + std::string(keyword));
     }
-    auto it = prefixes_.find(pfx);
-    if (it == prefixes_.end()) {
-      return Status::ParseError("unknown prefix '" + pfx + "'");
+    std::string_view digits = Peek().text;
+    uint64_t value = 0;
+    auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    if (ec != std::errc() || end != digits.data() + digits.size() ||
+        value > std::numeric_limits<size_t>::max()) {
+      return Error(std::string(keyword) +
+                   " must be a non-negative integer that fits 64 bits");
     }
-    return rdf::Iri(it->second + local);
+    Advance();
+    *out = static_cast<size_t>(value);
+    return Status::Ok();
   }
 
-  // Parses one term-or-var; handles IRIs, pnames, literals, vars.
-  StatusOr<TermOrVar> ParseTermOrVar() {
+  // The IRI declared for prefix `name`, or null.
+  std::string_view* FindPrefix(std::string_view name) {
+    for (auto& [declared, iri] : prefixes_) {
+      if (declared == name) return &iri;
+    }
+    return nullptr;
+  }
+
+  // Expands `pname` into `iri`.
+  Status ResolvePname(std::string_view pname, std::string* iri) {
+    size_t colon = pname.find(':');
+    std::string_view pfx = pname.substr(0, colon);
+    std::string_view local = pname.substr(colon + 1);
+    // `a` shorthand is handled by the caller; bif:contains passes through.
+    if (pfx == "bif") {
+      *iri = "bif:";
+    } else {
+      const std::string_view* base = FindPrefix(pfx);
+      if (base == nullptr) {
+        return Status::ParseError("unknown prefix '" + std::string(pfx) +
+                                  "'");
+      }
+      *iri = *base;
+    }
+    *iri += local;
+    return Status::Ok();
+  }
+
+  static rdf::Term& EmplaceTerm(TermOrVar* out, rdf::TermKind kind,
+                                std::string_view value) {
+    rdf::Term& term = out->emplace<rdf::Term>();
+    term.kind = kind;
+    term.value = value;
+    return term;
+  }
+
+  // Parses one term-or-var into `out`, built in place from the token
+  // views; handles IRIs, pnames, literals, vars.
+  Status ParseTermOrVar(TermOrVar* out) {
     const Token& tok = Peek();
     switch (tok.kind) {
       case TokenKind::kVar:
-        return TermOrVar{Var{Advance().text}};
+        out->emplace<Var>().name = Advance().text;
+        return Status::Ok();
       case TokenKind::kIriRef:
-        return TermOrVar{rdf::Iri(Advance().text)};
-      case TokenKind::kPname: {
-        KGQAN_ASSIGN_OR_RETURN(rdf::Term term, ResolvePname(Advance().text));
-        return TermOrVar{std::move(term)};
-      }
+        EmplaceTerm(out, rdf::TermKind::kIri, Advance().text);
+        return Status::Ok();
+      case TokenKind::kPname:
+        return ResolvePname(
+            Advance().text,
+            &EmplaceTerm(out, rdf::TermKind::kIri, {}).value);
       case TokenKind::kString: {
-        std::string lex = Advance().text;
+        rdf::Term& term =
+            EmplaceTerm(out, rdf::TermKind::kLiteral, Advance().text);
         if (Peek().kind == TokenKind::kLangTag) {
-          return TermOrVar{rdf::LangLiteral(std::move(lex), Advance().text)};
+          term.lang = Advance().text;
+          return Status::Ok();
         }
         if (Peek().kind == TokenKind::kDtSep) {
           Advance();
           if (Peek().kind == TokenKind::kIriRef) {
-            return TermOrVar{
-                rdf::TypedLiteral(std::move(lex), Advance().text)};
+            term.datatype = Advance().text;
+            return Status::Ok();
           }
           if (Peek().kind == TokenKind::kPname) {
-            KGQAN_ASSIGN_OR_RETURN(rdf::Term dt,
-                                   ResolvePname(Advance().text));
-            return TermOrVar{rdf::TypedLiteral(std::move(lex), dt.value)};
+            return ResolvePname(Advance().text, &term.datatype);
           }
           return Error("expected datatype IRI");
         }
-        return TermOrVar{rdf::StringLiteral(std::move(lex))};
+        term.datatype = rdf::vocab::kXsdString;
+        return Status::Ok();
       }
       case TokenKind::kInteger:
-        return TermOrVar{rdf::TypedLiteral(
-            Advance().text, std::string(rdf::vocab::kXsdInteger))};
+        EmplaceTerm(out, rdf::TermKind::kLiteral, Advance().text).datatype =
+            rdf::vocab::kXsdInteger;
+        return Status::Ok();
       case TokenKind::kDecimal:
-        return TermOrVar{rdf::TypedLiteral(
-            Advance().text, std::string(rdf::vocab::kXsdDouble))};
+        EmplaceTerm(out, rdf::TermKind::kLiteral, Advance().text).datatype =
+            rdf::vocab::kXsdDouble;
+        return Status::Ok();
       case TokenKind::kBoolean:
-        return TermOrVar{rdf::TypedLiteral(
-            Advance().text, std::string(rdf::vocab::kXsdBoolean))};
+        EmplaceTerm(out, rdf::TermKind::kLiteral, Advance().text).datatype =
+            rdf::vocab::kXsdBoolean;
+        return Status::Ok();
       default:
         return Error("expected term or variable");
     }
   }
 
   StatusOr<GroupGraphPattern> ParseGroup() {
-    if (!ConsumePunct("{")) return Error("expected '{'");
+    if (!Consume(Symbol::kLBrace)) return Error("expected '{'");
     GroupGraphPattern group;
-    while (!CheckPunct("}")) {
+    while (!Check(Symbol::kRBrace)) {
       if (Peek().kind == TokenKind::kEof) return Error("unterminated group");
-      if (CheckPunct("{")) {
+      if (Check(Symbol::kLBrace)) {
         // `{A} UNION {B} [UNION {C} ...]` block.
         std::vector<GroupGraphPattern> branches;
         KGQAN_ASSIGN_OR_RETURN(GroupGraphPattern first, ParseGroup());
         branches.push_back(std::move(first));
-        while (ConsumeKeyword("UNION")) {
+        while (Consume(Symbol::kUnion)) {
           KGQAN_ASSIGN_OR_RETURN(GroupGraphPattern next, ParseGroup());
           branches.push_back(std::move(next));
         }
         group.unions.push_back(std::move(branches));
-        ConsumePunct(".");
+        Consume(Symbol::kDot);
         continue;
       }
-      if (ConsumeKeyword("OPTIONAL")) {
+      if (Consume(Symbol::kOptional)) {
         KGQAN_ASSIGN_OR_RETURN(GroupGraphPattern opt, ParseGroup());
         group.optionals.push_back(std::move(opt));
-        ConsumePunct(".");
+        Consume(Symbol::kDot);
         continue;
       }
-      if (ConsumeKeyword("VALUES")) {
+      if (Consume(Symbol::kValues)) {
         if (Peek().kind != TokenKind::kVar) {
           return Error("expected variable after VALUES");
         }
         InlineValues iv;
-        iv.var = Var{Advance().text};
-        if (!ConsumePunct("{")) return Error("expected '{' after VALUES");
-        while (!CheckPunct("}")) {
+        iv.var = Var{AdvanceText()};
+        if (!Consume(Symbol::kLBrace)) {
+          return Error("expected '{' after VALUES");
+        }
+        while (!Check(Symbol::kRBrace)) {
           if (Peek().kind == TokenKind::kEof) {
             return Error("unterminated VALUES block");
           }
-          KGQAN_ASSIGN_OR_RETURN(TermOrVar tv, ParseTermOrVar());
+          TermOrVar tv;
+          KGQAN_RETURN_IF_ERROR(ParseTermOrVar(&tv));
           if (IsVar(tv)) return Error("VALUES entries must be terms");
-          iv.values.push_back(AsTerm(tv));
+          iv.values.push_back(std::get<rdf::Term>(std::move(tv)));
         }
         Advance();  // '}'
         group.values.push_back(std::move(iv));
-        ConsumePunct(".");
+        Consume(Symbol::kDot);
         continue;
       }
-      if (ConsumeKeyword("FILTER")) {
-        if (!ConsumePunct("(")) return Error("expected '(' after FILTER");
+      if (Consume(Symbol::kFilter)) {
+        if (!Consume(Symbol::kLParen)) {
+          return Error("expected '(' after FILTER");
+        }
         KGQAN_ASSIGN_OR_RETURN(Expr e, ParseOrExpr());
-        if (!ConsumePunct(")")) return Error("expected ')' after FILTER");
+        if (!Consume(Symbol::kRParen)) {
+          return Error("expected ')' after FILTER");
+        }
         group.filters.push_back(std::move(e));
-        ConsumePunct(".");
+        Consume(Symbol::kDot);
         continue;
       }
       KGQAN_RETURN_IF_ERROR(ParseTriplesSameSubject(&group));
-      ConsumePunct(".");
+      Consume(Symbol::kDot);
     }
     Advance();  // '}'
     return group;
@@ -310,12 +359,14 @@ class Parser {
 
   // Parses `subject predicate object (';' predicate object)*`.
   Status ParseTriplesSameSubject(GroupGraphPattern* group) {
-    KGQAN_ASSIGN_OR_RETURN(TermOrVar subject, ParseTermOrVar());
+    TermOrVar subject;
+    KGQAN_RETURN_IF_ERROR(ParseTermOrVar(&subject));
     while (true) {
       // Predicate: term, var, or the `a` keyword is not produced by our
       // lexer (it errors on bare words), so rdf:type must be written
       // explicitly.
-      KGQAN_ASSIGN_OR_RETURN(TermOrVar pred, ParseTermOrVar());
+      TermOrVar pred;
+      KGQAN_RETURN_IF_ERROR(ParseTermOrVar(&pred));
       // bif:contains text pattern?
       if (!IsVar(pred) && AsTerm(pred).IsIri() &&
           AsTerm(pred).value == "bif:contains") {
@@ -326,13 +377,19 @@ class Parser {
           return Error("bif:contains object must be a string");
         }
         group->text_patterns.push_back(
-            TextPattern{AsVar(subject), Advance().text});
+            TextPattern{AsVar(subject), AdvanceText()});
       } else {
-        KGQAN_ASSIGN_OR_RETURN(TermOrVar object, ParseTermOrVar());
-        group->triples.push_back(
-            TriplePattern{subject, std::move(pred), std::move(object)});
+        TriplePattern& triple = group->triples.emplace_back();
+        triple.p = std::move(pred);
+        KGQAN_RETURN_IF_ERROR(ParseTermOrVar(&triple.o));
+        // The subject is copied only when a ';' list reuses it.
+        if (!Check(Symbol::kSemicolon)) {
+          triple.s = std::move(subject);
+          break;
+        }
+        triple.s = subject;
       }
-      if (ConsumePunct(";")) continue;
+      if (Consume(Symbol::kSemicolon)) continue;
       break;
     }
     return Status::Ok();
@@ -340,8 +397,7 @@ class Parser {
 
   StatusOr<Expr> ParseOrExpr() {
     KGQAN_ASSIGN_OR_RETURN(Expr lhs, ParseAndExpr());
-    while (Peek().kind == TokenKind::kOp && Peek().text == "||") {
-      Advance();
+    while (Consume(Symbol::kOr)) {
       KGQAN_ASSIGN_OR_RETURN(Expr rhs, ParseAndExpr());
       Expr node;
       node.op = ExprOp::kOr;
@@ -354,8 +410,7 @@ class Parser {
 
   StatusOr<Expr> ParseAndExpr() {
     KGQAN_ASSIGN_OR_RETURN(Expr lhs, ParseCmpExpr());
-    while (Peek().kind == TokenKind::kOp && Peek().text == "&&") {
-      Advance();
+    while (Consume(Symbol::kAnd)) {
       KGQAN_ASSIGN_OR_RETURN(Expr rhs, ParseCmpExpr());
       Expr node;
       node.op = ExprOp::kAnd;
@@ -371,25 +426,32 @@ class Parser {
     // Consume only comparison operators here; `&&` and `||` belong to the
     // enclosing precedence levels (e.g. `CONTAINS(...) || BOUND(?x)` has a
     // non-comparison operand before the `||`).
-    if (Peek().kind == TokenKind::kOp && Peek().text != "&&" &&
-        Peek().text != "||") {
-      std::string op = Advance().text;
+    if (Peek().kind == TokenKind::kOp && !Check(Symbol::kAnd) &&
+        !Check(Symbol::kOr)) {
+      const Token& op = Advance();
       KGQAN_ASSIGN_OR_RETURN(Expr rhs, ParseUnaryExpr());
       Expr node;
-      if (op == "=") {
-        node.op = ExprOp::kEq;
-      } else if (op == "!=") {
-        node.op = ExprOp::kNe;
-      } else if (op == "<") {
-        node.op = ExprOp::kLt;
-      } else if (op == "<=") {
-        node.op = ExprOp::kLe;
-      } else if (op == ">") {
-        node.op = ExprOp::kGt;
-      } else if (op == ">=") {
-        node.op = ExprOp::kGe;
-      } else {
-        return Error("unexpected operator '" + op + "'");
+      switch (op.symbol) {
+        case Symbol::kEq:
+          node.op = ExprOp::kEq;
+          break;
+        case Symbol::kNe:
+          node.op = ExprOp::kNe;
+          break;
+        case Symbol::kLt:
+          node.op = ExprOp::kLt;
+          break;
+        case Symbol::kLe:
+          node.op = ExprOp::kLe;
+          break;
+        case Symbol::kGt:
+          node.op = ExprOp::kGt;
+          break;
+        case Symbol::kGe:
+          node.op = ExprOp::kGe;
+          break;
+        default:
+          return Error("unexpected operator '" + std::string(op.text) + "'");
       }
       node.lhs = std::make_unique<Expr>(std::move(lhs));
       node.rhs = std::make_unique<Expr>(std::move(rhs));
@@ -399,74 +461,79 @@ class Parser {
   }
 
   StatusOr<Expr> ParseUnaryExpr() {
-    if (ConsumePunct("!")) {
+    if (Consume(Symbol::kBang)) {
       KGQAN_ASSIGN_OR_RETURN(Expr inner, ParseUnaryExpr());
       Expr node;
       node.op = ExprOp::kNot;
       node.lhs = std::make_unique<Expr>(std::move(inner));
       return node;
     }
-    if (ConsumePunct("(")) {
+    if (Consume(Symbol::kLParen)) {
       KGQAN_ASSIGN_OR_RETURN(Expr inner, ParseOrExpr());
-      if (!ConsumePunct(")")) return Error("expected ')'");
+      if (!Consume(Symbol::kRParen)) return Error("expected ')'");
       return inner;
     }
-    if (ConsumeKeyword("BOUND")) {
-      if (!ConsumePunct("(")) return Error("expected '(' after BOUND");
+    if (Consume(Symbol::kBound)) {
+      if (!Consume(Symbol::kLParen)) return Error("expected '(' after BOUND");
       if (Peek().kind != TokenKind::kVar) {
         return Error("expected variable in BOUND");
       }
       Expr node;
       node.op = ExprOp::kBound;
-      node.var = Var{Advance().text};
-      if (!ConsumePunct(")")) return Error("expected ')' after BOUND");
+      node.var = Var{AdvanceText()};
+      if (!Consume(Symbol::kRParen)) return Error("expected ')' after BOUND");
       return node;
     }
     // Built-in functions.
-    for (auto [kw, op, arity] :
-         {std::tuple<const char*, ExprOp, int>{"REGEX", ExprOp::kRegex, 2},
-          {"CONTAINS", ExprOp::kContains, 2},
-          {"STR", ExprOp::kStr, 1},
-          {"LANG", ExprOp::kLang, 1},
-          {"ISIRI", ExprOp::kIsIri, 1},
-          {"ISLITERAL", ExprOp::kIsLiteral, 1}}) {
-      if (!ConsumeKeyword(kw)) continue;
-      if (!ConsumePunct("(")) return Error("expected '(' after function");
+    for (auto [keyword, op, arity] :
+         {std::tuple<Symbol, ExprOp, int>{Symbol::kRegex, ExprOp::kRegex, 2},
+          {Symbol::kContains, ExprOp::kContains, 2},
+          {Symbol::kStr, ExprOp::kStr, 1},
+          {Symbol::kLang, ExprOp::kLang, 1},
+          {Symbol::kIsIri, ExprOp::kIsIri, 1},
+          {Symbol::kIsLiteral, ExprOp::kIsLiteral, 1}}) {
+      if (!Consume(keyword)) continue;
+      if (!Consume(Symbol::kLParen)) {
+        return Error("expected '(' after function");
+      }
       Expr node;
       node.op = op;
       KGQAN_ASSIGN_OR_RETURN(Expr first, ParseOrExpr());
       node.lhs = std::make_unique<Expr>(std::move(first));
       if (arity == 2) {
-        if (!ConsumePunct(",")) return Error("expected ',' in function");
+        if (!Consume(Symbol::kComma)) return Error("expected ',' in function");
         KGQAN_ASSIGN_OR_RETURN(Expr second, ParseOrExpr());
         node.rhs = std::make_unique<Expr>(std::move(second));
       }
-      if (!ConsumePunct(")")) return Error("expected ')' after function");
+      if (!Consume(Symbol::kRParen)) {
+        return Error("expected ')' after function");
+      }
       return node;
     }
-    KGQAN_ASSIGN_OR_RETURN(TermOrVar tv, ParseTermOrVar());
+    TermOrVar tv;
+    KGQAN_RETURN_IF_ERROR(ParseTermOrVar(&tv));
     Expr node;
     if (IsVar(tv)) {
       node.op = ExprOp::kVar;
-      node.var = AsVar(tv);
+      node.var = std::get<Var>(std::move(tv));
     } else {
       node.op = ExprOp::kConstant;
-      node.constant = AsTerm(tv);
+      node.constant = std::get<rdf::Term>(std::move(tv));
     }
     return node;
   }
 
-  std::vector<Token> tokens_;
+  const TokenList& tokens_;
   size_t pos_ = 0;
-  std::unordered_map<std::string, std::string> prefixes_;
+  // PREFIX declarations: (name, IRI) views into the query text.
+  std::vector<std::pair<std::string_view, std::string_view>> prefixes_;
 };
 
 }  // namespace
 
 StatusOr<Query> ParseQuery(std::string_view text) {
-  KGQAN_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(text));
-  Parser parser(std::move(tokens));
-  return parser.Parse();
+  KGQAN_ASSIGN_OR_RETURN(TokenList tokens, Lex(text));
+  return Parser(tokens).Parse();
 }
 
 }  // namespace kgqan::sparql

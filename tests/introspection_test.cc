@@ -515,6 +515,30 @@ TEST(ExplainAnalyzeTest, OperatorStatsCollectedWhenEnabled) {
   EXPECT_NE(core::Explain(result).find("step 0: pattern"), std::string::npos);
 }
 
+TEST(ExplainAnalyzeTest, GenerationSpanNestsUnderExecution) {
+  // The engine's own trace covers candidate generation, with the number
+  // of consistent combinations enumerated before the top-k cut.
+  sparql::Endpoint endpoint("mini", MiniKg());
+  core::KgqanEngine engine(ServingConfig());
+  obs::Trace trace(obs::Trace::Mode::kFull);
+  core::KgqanResult result = engine.AnswerFull(
+      "Who is the spouse of Barack Obama?", endpoint, &trace);
+  ASSERT_GT(result.queries_generated, 0u);
+  const std::vector<obs::SpanRecord> spans = trace.spans();
+  const size_t generate = trace.FindSpan("bgp.generate");
+  ASSERT_NE(generate, obs::kNoSpan);
+  const size_t parent = spans[generate].parent;
+  ASSERT_NE(parent, obs::kNoSpan);
+  EXPECT_EQ(spans[parent].name, "execution");
+  EXPECT_GE(spans[generate].duration_ns, 0);
+  std::string combinations;
+  for (const auto& [key, value] : spans[generate].attributes) {
+    if (key == "combinations") combinations = value;
+  }
+  ASSERT_FALSE(combinations.empty());
+  EXPECT_GE(std::stoul(combinations), result.queries_generated);
+}
+
 TEST(ExplainAnalyzeTest, OffByDefaultCollectsNothing) {
   sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());

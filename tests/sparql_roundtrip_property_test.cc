@@ -2,7 +2,10 @@
 // supported SPARQL subset (BGP + UNION + VALUES + FILTER + OPTIONAL, plus
 // SELECT modifiers) are serialized with ToSparql, re-parsed, and checked
 // for (a) deep AST equality and (b) identical evaluation results on a
-// random small KG.
+// random small KG.  A fuzzer then mutates generated queries and the
+// engine's candidate and probe shapes (byte flips, truncation, token
+// splices, long digit runs) and checks that every input yields a query or
+// a Status.
 //
 // The binary has its own main: `--seed=N` (or the KGQAN_PROPERTY_SEED
 // environment variable) reseeds the generator, so CI can rotate seeds and
@@ -13,6 +16,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -25,6 +30,7 @@
 #include "sparql/evaluator.h"
 #include "sparql/parser.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace kgqan::sparql {
 
@@ -331,6 +337,125 @@ TEST(SparqlRoundTripPropertyTest, SerializationIsAFixedPoint) {
       EXPECT_EQ(ToSparql(*reparsed), text);
     }
   }
+}
+
+// ---- Parser fuzzing. ----
+
+// The shapes the engine sends: Alg. 3 candidates (SELECT with the
+// OPTIONAL rdf:type clause, and ASK) and the linker's probes.
+const char* const kEngineShapes[] = {
+    "SELECT DISTINCT ?u1 ?c WHERE {\n"
+    "  <http://x/e1> <http://x/p0> ?u1 .\n"
+    "  ?u1 <http://x/p1> <http://x/e2> .\n"
+    "  OPTIONAL { ?u1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c . "
+    "}\n}\n",
+    "ASK {\n  <http://x/e1> <http://x/p0> <http://x/e2> .\n}\n",
+    "SELECT DISTINCT ?p WHERE { <http://x/e1> ?p ?obj . }",
+    "SELECT DISTINCT ?p WHERE { ?sub ?p <http://x/e1> . }",
+    "SELECT ?v ?p ?d WHERE { ?v ?p ?d . ?d <bif:contains> "
+    "\"'danish' AND 'straits'\" . } LIMIT 400",
+    "SELECT ?d WHERE { <http://x/e1> ?lp ?d . } LIMIT 8",
+    "SELECT DISTINCT ?x WHERE { ?x <http://x/p0> <http://x/e1> . } LIMIT 20",
+    "PREFIX dbo: <http://dbpedia.org/ontology/> SELECT ?x WHERE { ?x "
+    "dbo:spouse ?y . FILTER(?y != \"a\\\"b\"@en && isIRI(?x)) } "
+    "ORDER BY DESC(?x) OFFSET 2",
+};
+
+// Fragments spliced in at random offsets: keywords, punctuation, the
+// lexer's two-character and escape cases, and unterminated openers.
+const char* const kSplices[] = {
+    "SELECT", "ASK",    "WHERE", "{",       "}",     "(",   ")",    ".",
+    ";",      ",",      "*",     "!",       "=",     "!=",  "<",    "<=",
+    ">=",     "&&",     "||",    "<http://x/e1>",    "<",   ">",    "?",
+    "?u1",    "$v",     "\"",   "'",       "\\",  "\\\"", "^",  "^^",
+    "@en",    "@",      "#",     "\n",     "-",     "1.5", "9.",   "OPTIONAL",
+    "FILTER", "UNION",  "VALUES ?x {", "LIMIT", "OFFSET", "ORDER BY",
+    "DISTINCT", "COUNT(", "AS", "BOUND(", "REGEX(", "PREFIX p: <http://x/>",
+    "p:",     "bif:contains", "true", "false", "a:b.c.", "_",
+};
+
+class Mutator {
+ public:
+  explicit Mutator(uint64_t seed) : rng_(seed) {}
+
+  std::string Mutate(std::string text) {
+    const int rounds = static_cast<int>(rng_.UniformInt(1, 4));
+    for (int r = 0; r < rounds; ++r) {
+      switch (rng_.UniformInt(0, 3)) {
+        case 0:  // Byte flip: any byte value, NUL and high bytes included.
+          if (!text.empty()) {
+            text[Offset(text.size() - 1)] =
+                static_cast<char>(rng_.UniformInt(0, 255));
+          }
+          break;
+        case 1:  // Truncation.
+          text.resize(Offset(text.size()));
+          break;
+        case 2: {  // Token splice.
+          const char* splice = kSplices[rng_.UniformInt(
+              0, static_cast<int64_t>(std::size(kSplices)) - 1)];
+          text.insert(Offset(text.size()), splice);
+          break;
+        }
+        default: {  // A long digit run, sometimes signed or decimal.
+          std::string digits;
+          if (rng_.UniformInt(0, 2) == 0) digits += '-';
+          const int64_t length = rng_.UniformInt(15, 400);
+          for (int64_t d = 0; d < length; ++d) {
+            digits += static_cast<char>('0' + rng_.UniformInt(0, 9));
+          }
+          if (rng_.UniformInt(0, 3) == 0) digits.insert(digits.size() / 2, ".");
+          text.insert(Offset(text.size()), digits);
+          break;
+        }
+      }
+    }
+    return text;
+  }
+
+ private:
+  size_t Offset(size_t max_inclusive) {
+    return static_cast<size_t>(
+        rng_.UniformInt(0, static_cast<int64_t>(max_inclusive)));
+  }
+
+  util::Rng rng_;
+};
+
+// Every mutated input yields a query or a Status: no throw, no crash (the
+// sanitizer job runs this too), and no hang (the suite's timeout).  A
+// query that does parse serializes to text that parses again.
+TEST(SparqlRoundTripPropertyTest, MutatedQueriesYieldAValueOrAStatus) {
+  constexpr int kInputs = 20000;
+  util::Rng master(g_property_seed ^ 0xF022u);
+  Generator gen(master.Next());
+  Mutator mutator(master.Next());
+  size_t parsed = 0;
+  for (int c = 0; c < kInputs; ++c) {
+    std::string seed_text =
+        c % 2 == 0 ? std::string(kEngineShapes[c / 2 % std::size(kEngineShapes)])
+                   : ToSparql(gen.RandQuery());
+    const std::string input = mutator.Mutate(std::move(seed_text));
+    SCOPED_TRACE("seed " + std::to_string(g_property_seed) + " input " +
+                 std::to_string(c) + ":\n" + input);
+    util::StatusOr<Query> query = util::Status::Internal("not parsed");
+    try {
+      query = ParseQuery(input);
+    } catch (const std::exception& e) {
+      FAIL() << "ParseQuery threw: " << e.what();
+    }
+    if (!query.ok()) {
+      EXPECT_FALSE(query.status().message().empty());
+      continue;
+    }
+    ++parsed;
+    const std::string text = ToSparql(*query);
+    auto reparsed = ParseQuery(text);
+    EXPECT_TRUE(reparsed.ok()) << text << "\n" << reparsed.status();
+  }
+  // Mild mutations leave some inputs valid, so both outcomes are covered.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, static_cast<size_t>(kInputs));
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "rdf/graph.h"
 #include "sparql/ast.h"
@@ -76,6 +79,50 @@ TEST(LexerTest, Comments) {
   auto toks = Lex("SELECT # comment\n ?x");
   ASSERT_TRUE(toks.ok());
   EXPECT_EQ((*toks)[1].kind, TokenKind::kVar);
+}
+
+TEST(LexerTest, TokensViewTheInputAndCarrySymbols) {
+  const std::string input =
+      "select ?x WHERE { <http://a> ?p \"plain\" , \"esc\\\"aped\" . "
+      "FILTER (?x <= 5 && true) }";
+  auto lexed = Lex(input);
+  ASSERT_TRUE(lexed.ok()) << lexed.status();
+  // Moving the list keeps every view valid, the unescaped one included.
+  TokenList toks = std::move(lexed).value();
+  auto inside_input = [&](std::string_view text) {
+    return text.data() >= input.data() &&
+           text.data() + text.size() <= input.data() + input.size();
+  };
+  EXPECT_EQ(toks[0].symbol, Symbol::kSelect);
+  EXPECT_EQ(toks[0].text, "SELECT");
+  EXPECT_EQ(toks[1].symbol, Symbol::kNone);
+  EXPECT_TRUE(inside_input(toks[1].text));
+  EXPECT_EQ(toks[3].symbol, Symbol::kLBrace);
+  EXPECT_TRUE(inside_input(toks[4].text));
+  EXPECT_EQ(toks[6].text, "plain");
+  EXPECT_TRUE(inside_input(toks[6].text));
+  EXPECT_EQ(toks[7].symbol, Symbol::kComma);
+  EXPECT_EQ(toks[8].text, "esc\"aped");
+  EXPECT_FALSE(inside_input(toks[8].text));
+  EXPECT_EQ(toks[13].symbol, Symbol::kLe);
+  EXPECT_EQ(toks[15].symbol, Symbol::kAnd);
+  EXPECT_EQ(toks[16].kind, TokenKind::kBoolean);
+  EXPECT_EQ(toks[16].text, "true");
+  EXPECT_EQ(toks[toks.size() - 1].kind, TokenKind::kEof);
+  // Offsets point at each token's first byte: '?', '<' and the quote.
+  EXPECT_EQ(toks[1].offset, input.find("?x"));
+  EXPECT_EQ(toks[4].offset, input.find("<http://a>"));
+  EXPECT_EQ(toks[6].offset, input.find("\"plain\""));
+  EXPECT_EQ(toks[8].offset, input.find("\"esc"));
+}
+
+TEST(ParserTest, ErrorsNameTheOffendingTokensOffset) {
+  auto q = ParseQuery("SELECT ?x WHERE <http://a> ?p ?o");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().message(), "expected '{' at offset 16");
+  q = ParseQuery("SELECT ?x WHERE { \"lit\" ?p ?o . } LIMIT ?x");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().message(), "expected integer after LIMIT at offset 40");
 }
 
 // ---- Parser ----
@@ -156,6 +203,23 @@ TEST(ParserTest, RejectsMalformed) {
   EXPECT_FALSE(ParseQuery("SELECT ?x WHERE { ?x ?p ?o . ").ok());
   EXPECT_FALSE(ParseQuery("SELECT ?x { ?x pfx:undeclared ?o . }").ok());
   EXPECT_FALSE(ParseQuery("SELECT ?x { ?x ?p ?o . } garbage").ok());
+}
+
+TEST(ParserTest, LimitAndOffsetOutOfRangeAreParseErrors) {
+  // Past 64 bits (std::stoll used to throw) and negative (used to wrap).
+  for (const char* modifier :
+       {"LIMIT 99999999999999999999", "LIMIT -5", "OFFSET 99999999999999999999",
+        "OFFSET -1", "LIMIT 3 OFFSET -0"}) {
+    const std::string text =
+        std::string("SELECT ?x WHERE { ?x ?p ?o . } ") + modifier;
+    auto q = ParseQuery(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), util::StatusCode::kParseError) << text;
+  }
+  auto largest =
+      ParseQuery("SELECT ?x WHERE { ?x ?p ?o . } LIMIT 18446744073709551615");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->limit, static_cast<size_t>(18446744073709551615ull));
 }
 
 TEST(ParserTest, ToSparqlRoundTrips) {
@@ -303,6 +367,13 @@ TEST_F(EvalTest, CountAggregate) {
   ASSERT_TRUE(rs.ok()) << rs.status();
   ASSERT_EQ(rs->NumRows(), 1u);
   EXPECT_EQ(rs->At(0, 0)->value, "2");
+}
+
+TEST_F(EvalTest, OverflowingLimitIsAParseErrorNotAThrow) {
+  auto rs = endpoint_.Query(
+      "SELECT ?s WHERE { ?s ?p ?o . } LIMIT 99999999999999999999");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), util::StatusCode::kParseError);
 }
 
 TEST_F(EvalTest, LimitTruncates) {
