@@ -56,7 +56,9 @@ double OracleVertexScore(const Agp& agp, size_t node, const std::string& iri) {
 }
 
 std::string OracleVarName(const qu::Pgp::Node& node) {
-  return "u" + std::to_string(node.var_id);
+  std::string name = "u";
+  name += std::to_string(node.var_id);
+  return name;
 }
 
 std::vector<OracleCandidate> OracleEdgeCandidates(const Agp& agp,
