@@ -8,8 +8,8 @@
 // complexity, not KG size (KGQAn takes similar time on LC-QuAD and MAG).
 //
 // Beyond the paper, the harness also runs KGQAn with the concurrent
-// execution layer enabled (K-par: a worker pool for candidate queries and
-// linking fan-out, plus the linking cache) and reports the speedup of the
+// execution layer enabled (K-par: a worker pool for candidate queries,
+// with serial linking, plus the linking cache) and reports the speedup of the
 // KG-bound phases over the serial engine, with the cache hit rate.  The
 // averages come from per-phase latency histograms, so the K and K-par rows
 // are followed by per-phase tail percentiles (p50/p90/p95/p99), and

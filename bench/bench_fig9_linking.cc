@@ -15,29 +15,6 @@
 #include "eval/linking_eval.h"
 #include "eval/runner.h"
 
-namespace {
-
-// Endpoint traffic of the linking phase over the whole question set, for
-// one engine configuration (summed KgqanResult linking counters).
-struct LinkTraffic {
-  size_t requests = 0;
-  double ms = 0.0;
-};
-
-LinkTraffic MeasureLinkTraffic(const kgqan::core::KgqanConfig& config,
-                               kgqan::benchgen::Benchmark& b) {
-  kgqan::core::KgqanEngine engine(config);
-  LinkTraffic t;
-  for (const auto& q : b.questions) {
-    auto result = engine.AnswerFull(q.text, *b.endpoint);
-    t.requests += result.linking_requests;
-    t.ms += result.response.timings.linking_ms;
-  }
-  return t;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace kgqan;
   double scale = bench::ParseScale(argc, argv);
@@ -78,26 +55,25 @@ int main(int argc, char** argv) {
   row("KGQAn", k, k_final);
   bench::PrintRule(92);
 
-  // Linking endpoint traffic: K = the fully serial pipeline, K-par = the
-  // thread-pool fan-out (one request per probe, issued concurrently).  Both
-  // produce byte-identical AGPs from the same requests.
+  // Endpoint traffic of the serial pipeline's linking phase (K) over the
+  // whole question set: one request per probe, in order (summed
+  // KgqanResult linking counters).
   core::KgqanConfig serial_cfg = bench::DefaultEngineConfig();
   serial_cfg.num_threads = 1;
-  core::KgqanConfig par_cfg = bench::DefaultEngineConfig();
-  par_cfg.num_threads = 8;
-
-  LinkTraffic t_serial = MeasureLinkTraffic(serial_cfg, b);
-  LinkTraffic t_par = MeasureLinkTraffic(par_cfg, b);
+  core::KgqanEngine serial(serial_cfg);
+  size_t requests = 0;
+  double linking_ms = 0.0;
+  for (const auto& q : b.questions) {
+    core::KgqanResult result = serial.AnswerFull(q.text, *b.endpoint);
+    requests += result.linking_requests;
+    linking_ms += result.response.timings.linking_ms;
+  }
 
   std::printf("\nJIT-linking endpoint traffic over the same question set\n");
   bench::PrintRule(40);
   std::printf("%-9s | %9s | %s\n", "Variant", "Requests", "Linking ms");
   bench::PrintRule(40);
-  auto traffic_row = [](const char* name, const LinkTraffic& t) {
-    std::printf("%-9s | %9zu | %10.1f\n", name, t.requests, t.ms);
-  };
-  traffic_row("K", t_serial);
-  traffic_row("K-par", t_par);
+  std::printf("%-9s | %9zu | %10.1f\n", "K", requests, linking_ms);
   bench::PrintRule(40);
   return 0;
 }

@@ -108,7 +108,7 @@ std::vector<Bgp> BgpGenerator::Generate(const Agp& agp,
   std::vector<std::vector<EdgeCandidate>> per_edge;
   per_edge.reserve(num_edges);
   for (size_t e = 0; e < num_edges; ++e) {
-    per_edge.push_back(EdgeCandidates(agp, e, config_->max_edge_candidates));
+    per_edge.push_back(EdgeCandidates(agp, e, kMaxEdgeCandidates));
     if (per_edge.back().empty()) return {};  // Unlinkable edge.
   }
 

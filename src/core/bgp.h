@@ -4,6 +4,7 @@
 #ifndef KGQAN_CORE_BGP_H_
 #define KGQAN_CORE_BGP_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,10 @@ struct Bgp {
 class BgpGenerator {
  public:
   explicit BgpGenerator(const KgqanConfig* config) : config_(config) {}
+
+  // Candidate instantiations kept per PGP edge before the cross-edge
+  // product is ranked (keeps Alg. 3 line 1 tractable).
+  static constexpr size_t kMaxEdgeCandidates = 24;
 
   // Algorithm 3 lines 1-3: enumerates valid vertex/predicate combinations
   // (consistent vertex assignments per PGP node), scores each BGP with

@@ -27,34 +27,22 @@ struct KgqanConfig {
   // generated per question (Alg. 3).
   size_t max_queries = 40;
 
-  // Candidate instantiations kept per PGP edge before the cross-edge
-  // product is ranked (keeps Alg. 3 line 1 tractable).
-  size_t max_edge_candidates = 24;
-
   // Post-filtration (Sec. 6); the Figure 10 ablation turns this off.
   bool enable_filtration = true;
 
-  // Leniency threshold for semantic-type filtering: an answer is dropped
-  // only if its class label scores below this affinity against the
-  // predicted semantic type.  Chosen low because semantic types are noisy
-  // (Sec. 7.3.3: "filtering answers using semantic types is not as
-  // accurate ... designed to avoid hurting the recall much").
-  double semantic_type_threshold = 0.12;
-
   // Recall-first answer collection (Sec. 6): answers of the top-ranked
-  // productive queries are unioned; filtration restores precision.  The
-  // union stops after this many queries yielded (post-filtration) answers,
-  // and queries scoring far below the best productive one (relative score
+  // productive queries are unioned; filtration restores precision.
+  // Queries scoring far below the best productive one (relative score
   // < score_gap of it) are not executed at all.
-  size_t max_productive_queries = 3;
   double score_gap = 0.85;
 
-  // Worker threads for the JIT-linking fan-out and candidate-query
-  // execution (not a paper parameter).  0 = hardware concurrency; 1 runs
-  // the original fully serial pipeline, preserving its exact behaviour
-  // including per-endpoint query counts.  Parallel runs produce the same
-  // answers (results are combined in rank order) but may speculatively
-  // execute queries the serial early-exit would have skipped.
+  // Worker threads for candidate-query execution (not a paper parameter);
+  // linking is always serial.  0 = hardware concurrency; 1 runs the
+  // original fully serial pipeline, preserving its exact behaviour
+  // including per-endpoint query counts.  Parallel runs execute the ranked
+  // candidates in waves and produce the same answers (results are combined
+  // in rank order) but may speculatively execute queries the serial
+  // early-exit would have skipped.
   size_t num_threads = 0;
 
   // The sharded LRU linking cache keyed by (phrase, KG identity, mode);

@@ -24,6 +24,11 @@ std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
   return std::make_unique<util::ThreadPool>(n);
 }
 
+// Recall-first answer collection (Sec. 6): the rank-order union of a
+// SELECT question's answers stops after this many queries yielded
+// (post-filtration) answers.
+constexpr size_t kMaxProductiveQueries = 3;
+
 // Entries per mode of the engine's linking cache.
 constexpr size_t kLinkingCacheCapacity = 4096;
 
@@ -121,9 +126,9 @@ KgqanEngine::KgqanEngine(const KgqanConfig& config)
           config.affinity_mode)),
       pool_(MakePool(config.num_threads)),
       cache_(MakeCache(config.linking_cache)),
-      linker_(&config_, affinity_.get(), pool_.get(), cache_.get()),
+      linker_(&config_, affinity_.get(), cache_.get()),
       bgp_generator_(&config_),
-      filtration_(&config_, affinity_.get()) {}
+      filtration_(affinity_.get()) {}
 
 RuntimeCounters KgqanEngine::Counters() const {
   RuntimeCounters counters;
@@ -313,7 +318,7 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
     }
     ++productive_queries;
     if (base_score < 0.0) base_score = bgp.score;
-    return productive_queries < config_.max_productive_queries;
+    return productive_queries < kMaxProductiveQueries;
   };
 
   if (pool_ == nullptr) {

@@ -7,6 +7,17 @@
 
 namespace kgqan::core {
 
+namespace {
+
+// Leniency threshold for semantic-type filtering: an answer is dropped
+// only if its class label scores below this affinity against the
+// predicted semantic type.  Chosen low because semantic types are noisy
+// (Sec. 7.3.3: "filtering answers using semantic types is not as
+// accurate ... designed to avoid hurting the recall much").
+constexpr double kSemanticTypeThreshold = 0.12;
+
+}  // namespace
+
 bool Filtration::LooksLikeDate(const rdf::Term& term) {
   if (!term.IsLiteral()) return false;
   if (term.datatype == rdf::vocab::kXsdDate) return true;
@@ -52,7 +63,7 @@ bool Filtration::SemanticTypeMatches(const CandidateAnswer& answer,
     best = std::max(best, affinity_->Score(
                               type, affinity_->Prepared(label, &label_scratch)));
   }
-  return best >= config_->semantic_type_threshold;
+  return best >= kSemanticTypeThreshold;
 }
 
 std::vector<rdf::Term> Filtration::Filter(

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/config.h"
 #include "embedding/affinity.h"
 #include "nlp/answer_type.h"
 #include "rdf/term.h"
@@ -26,9 +25,8 @@ struct CandidateAnswer {
 
 class Filtration {
  public:
-  Filtration(const KgqanConfig* config,
-             const embed::SemanticAffinity* affinity)
-      : config_(config), affinity_(affinity) {}
+  explicit Filtration(const embed::SemanticAffinity* affinity)
+      : affinity_(affinity) {}
 
   // Returns the answers that survive the data-type / semantic-type checks.
   std::vector<rdf::Term> Filter(
@@ -43,7 +41,6 @@ class Filtration {
   bool SemanticTypeMatches(const CandidateAnswer& answer,
                            const std::string& semantic_type) const;
 
-  const KgqanConfig* config_;
   const embed::SemanticAffinity* affinity_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <future>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,6 +13,7 @@
 #include "obs/trace.h"
 #include "text/tokenizer.h"
 #include "util/cancel.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace kgqan::core {
@@ -63,13 +63,22 @@ std::string JitLinker::PotentialRelevantVerticesQuery(
 
 std::vector<RelevantVertex> JitLinker::LinkEntity(
     const std::string& label, sparql::Endpoint& endpoint) const {
-  if (cache_ == nullptr) return LinkEntityUncached(label, endpoint);
-  std::string kg = endpoint.cache_identity();
-  if (auto cached = cache_->GetVertices(label, kg); cached.has_value()) {
-    return *std::move(cached);
+  // Cache hits are spans too, so a trace shows every node's linking.
+  obs::ScopedSpan span("linking.entity");
+  span.AddAttribute("label", label);
+  std::string kg;
+  if (cache_ != nullptr) {
+    kg = endpoint.cache_identity();
+    if (auto cached = cache_->GetVertices(label, kg); cached.has_value()) {
+      span.AddAttribute("cached", "true");
+      return *std::move(cached);
+    }
   }
+  span.AddAttribute("cached", "false");
   std::vector<RelevantVertex> out = LinkEntityUncached(label, endpoint);
-  if (!util::Cancelled()) cache_->PutVertices(label, kg, out);
+  if (cache_ != nullptr && !util::Cancelled()) {
+    cache_->PutVertices(label, kg, out);
+  }
   return out;
 }
 
@@ -77,12 +86,10 @@ std::vector<RelevantVertex> JitLinker::LinkEntityUncached(
     const std::string& label, sparql::Endpoint& endpoint) const {
   std::vector<RelevantVertex> out;
   if (label.empty()) return out;
-  obs::ScopedSpan span("linking.entity");
-  span.AddAttribute("label", label);
   struct LatencyRecorder {
-    const obs::ScopedSpan& span;
-    ~LatencyRecorder() { EntityLinkLatency().Record(span.ElapsedMillis()); }
-  } recorder{span};
+    util::Stopwatch watch;
+    ~LatencyRecorder() { EntityLinkLatency().Record(watch.ElapsedMillis()); }
+  } recorder;
   auto rs = [&] {
     obs::ScopedSpan probe_span("linking.text_probe");
     return endpoint.Query(
@@ -210,6 +217,7 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
   std::vector<std::pair<double*, std::string>> unscored;
   std::vector<std::pair<const std::string*, bool>> walked;
   std::vector<std::string_view> predicates;
+  size_t probes = 0;
   for (const auto& [v_iri, node] : anchor_vertices) {
     for (bool vertex_is_object : {false, true}) {
       const bool repeated = std::any_of(
@@ -227,6 +235,7 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
             vertex_is_object
                 ? "SELECT DISTINCT ?p WHERE { ?sub ?p <" + *v_iri + "> . }"
                 : "SELECT DISTINCT ?p WHERE { <" + *v_iri + "> ?p ?obj . }";
+        ++probes;
         auto probed = [&] {
           obs::ScopedSpan probe_span("linking.predicate_probe");
           return endpoint.Query(query);
@@ -272,6 +281,9 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
   }
   for (RelevantPredicate& rp : out) rp.score = scores[rp.iri];
   KeepTopK(out, config_->top_k_predicates);
+  // Cached: the anchor table answered every (anchor, direction) pair.
+  span.AddAttribute("cached",
+                    !walked.empty() && probes == 0 ? "true" : "false");
   RelationLinkLatency().Record(span.ElapsedMillis());
   return out;
 }
@@ -283,37 +295,15 @@ Agp JitLinker::Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const {
   agp.edge_predicates.resize(pgp.edges().size());
 
   // Algorithm 1 per node: unknowns have no relevant vertices (line 1-2).
-  // Each node is an independent pure function of (label, endpoint), so the
-  // fan-out runs on the pool; joining in index order keeps the result
-  // identical to the serial pipeline.
-  if (pool_ != nullptr) {
-    std::vector<std::pair<size_t, std::future<std::vector<RelevantVertex>>>>
-        node_futures;
-    for (size_t i = 0; i < pgp.nodes().size(); ++i) {
-      const qu::Pgp::Node& node = pgp.nodes()[i];
-      if (node.is_unknown) continue;
-      node_futures.emplace_back(
-          i, pool_->Submit([this, &node, &endpoint]() {
-            return LinkEntity(node.label, endpoint);
-          }));
-    }
-    for (auto& [i, future] : node_futures) {
-      agp.node_vertices[i] = future.get();
-    }
-  } else {
-    for (size_t i = 0; i < pgp.nodes().size(); ++i) {
-      const qu::Pgp::Node& node = pgp.nodes()[i];
-      if (node.is_unknown) continue;
-      agp.node_vertices[i] = LinkEntity(node.label, endpoint);
-    }
+  for (size_t i = 0; i < pgp.nodes().size(); ++i) {
+    const qu::Pgp::Node& node = pgp.nodes()[i];
+    if (node.is_unknown) continue;
+    agp.node_vertices[i] = LinkEntity(node.label, endpoint);
   }
 
   // Algorithm 2 per edge — first the edges with at least one annotated
-  // endpoint.  Every such edge reads only the (now final) node_vertices,
-  // so edges fan out too.
+  // endpoint.
   std::vector<size_t> pending;
-  std::vector<std::pair<size_t, std::future<std::vector<RelevantPredicate>>>>
-      edge_futures;
   for (size_t e = 0; e < pgp.edges().size(); ++e) {
     const qu::Pgp::Edge& edge = pgp.edges()[e];
     if (agp.node_vertices[edge.a].empty() &&
@@ -321,17 +311,7 @@ Agp JitLinker::Link(const qu::Pgp& pgp, sparql::Endpoint& endpoint) const {
       pending.push_back(e);  // Unknown-unknown edge (path questions).
       continue;
     }
-    if (pool_ != nullptr) {
-      edge_futures.emplace_back(
-          e, pool_->Submit([this, &agp, &edge, &endpoint]() {
-            return LinkRelation(agp, edge, endpoint);
-          }));
-    } else {
-      agp.edge_predicates[e] = LinkRelation(agp, edge, endpoint);
-    }
-  }
-  for (auto& [e, future] : edge_futures) {
-    agp.edge_predicates[e] = future.get();
+    agp.edge_predicates[e] = LinkRelation(agp, edge, endpoint);
   }
 
   // Path questions produce edges between two unknowns, which have no

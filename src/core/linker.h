@@ -6,23 +6,20 @@
 // lookups per relevant vertex.  No pre-processing, no prior knowledge of
 // the KG.
 //
-// When constructed with a thread pool, the per-node and per-edge fan-out
-// of Link() runs on the pool (nodes first, then the edges that depend on
-// them); results are identical to the serial order because each node/edge
-// is an independent pure function of the PGP and the endpoint.  When
-// constructed with a LinkingCache, entity-linking results and cryptic-
-// predicate descriptions are memoized across questions, keyed by (phrase,
-// endpoint identity, mode), and so are the predicate lists of Alg. 2's
-// outgoing/incoming probes, per (anchor vertex, direction) in the cache's
-// anchor table for the endpoint's current identity.  A hit replaces the
-// probe and yields the same predicates in the same order, so AGPs are
+// Link() is serial: nodes, then edges, each in index order, one request
+// per probe.  When constructed with a LinkingCache, entity-linking results
+// and cryptic-predicate descriptions are memoized across questions, keyed
+// by (phrase, endpoint identity, mode), and so are the predicate lists of
+// Alg. 2's outgoing/incoming probes, per (anchor vertex, direction) in the
+// cache's anchor table for the endpoint's current identity.  A hit replaces
+// the probe and yields the same predicates in the same order, so AGPs are
 // identical with and without the cache.
 //
 // Cancellation: probes issued after the calling thread's util::CancelToken
 // expires fail fast at the endpoint, and *no* result computed on-or-after
-// the expiry is written to the linking cache (any mode) — a cancelled wave
-// must not poison the cache with partial (typically empty) link sets for
-// later questions.
+// the expiry is written to the linking cache (any mode) — a cancelled
+// question must not poison the cache with partial (typically empty) link
+// sets for later questions.
 
 #ifndef KGQAN_CORE_LINKER_H_
 #define KGQAN_CORE_LINKER_H_
@@ -38,15 +35,14 @@
 #include "embedding/affinity.h"
 #include "qu/pgp.h"
 #include "sparql/endpoint.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::core {
 
 class JitLinker {
  public:
   JitLinker(const KgqanConfig* config, const embed::SemanticAffinity* affinity,
-            util::ThreadPool* pool = nullptr, LinkingCache* cache = nullptr)
-      : config_(config), affinity_(affinity), pool_(pool), cache_(cache) {}
+            LinkingCache* cache = nullptr)
+      : config_(config), affinity_(affinity), cache_(cache) {}
 
   // Annotates every node and edge of `pgp` against `endpoint` (Def. 5.3),
   // one endpoint request per probe.
@@ -107,8 +103,7 @@ class JitLinker {
 
   const KgqanConfig* config_;
   const embed::SemanticAffinity* affinity_;
-  util::ThreadPool* pool_;   // Not owned; nullptr = serial.
-  LinkingCache* cache_;      // Not owned; nullptr = no memoization.
+  LinkingCache* cache_;  // Not owned; nullptr = no memoization.
 };
 
 }  // namespace kgqan::core

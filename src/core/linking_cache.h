@@ -22,8 +22,8 @@
 // which stay valid for the cache's lifetime.
 //
 // The LRU modes are sharded (key-hash → shard, each with its own mutex and
-// LRU list) so the parallel linking fan-out does not serialize on one
-// lock; the anchor table sits behind one readers-writer lock.  Hit/miss
+// LRU list) so concurrent questions (QaServer workers) do not serialize on
+// one lock; the anchor table sits behind one readers-writer lock.  Hit/miss
 // counters are global atomics surfaced through the eval harness; every
 // lookup of every mode is additionally mirrored into the process-wide
 // metrics registry (linking_cache.hits/misses/evictions) and attributed to

@@ -127,7 +127,7 @@ class Trace {
 
 // The thread's active (trace, enclosing span) pair.  ScopedSpan pushes
 // onto it; the thread pool captures it at Submit() and rebinds it inside
-// the task, so nesting and counter attribution survive the fan-out.
+// the task, so nesting and counter attribution survive execution waves.
 struct TraceContext {
   Trace* trace = nullptr;
   size_t span = kNoSpan;

@@ -85,6 +85,7 @@ StatusOr<Term> ParseNTriplesTerm(std::string_view line, size_t& pos) {
            !std::isspace(static_cast<unsigned char>(line[end]))) {
       ++end;
     }
+    if (end == start) return Status::ParseError("empty blank node label");
     Term t = Blank(std::string(line.substr(start, end - start)));
     pos = end;
     return t;
@@ -132,31 +133,29 @@ StatusOr<Graph> ParseNTriples(std::string_view text) {
     ++line_no;
     std::string_view line = util::Trim(raw);
     if (line.empty() || line[0] == '#') continue;
+    auto error = [line_no](std::string_view message) {
+      return Status::ParseError("line " + std::to_string(line_no) + ": " +
+                                std::string(message));
+    };
     size_t pos = 0;
     auto s = ParseNTriplesTerm(line, pos);
-    if (!s.ok()) {
-      return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                s.status().message());
-    }
+    if (!s.ok()) return error(s.status().message());
     auto p = ParseNTriplesTerm(line, pos);
-    if (!p.ok()) {
-      return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                p.status().message());
-    }
+    if (!p.ok()) return error(p.status().message());
     auto o = ParseNTriplesTerm(line, pos);
-    if (!o.ok()) {
-      return Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                o.status().message());
-    }
+    if (!o.ok()) return error(o.status().message());
     SkipSpace(line, pos);
-    if (pos >= line.size() || line[pos] != '.') {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": expected '.'");
+    if (pos >= line.size() || line[pos] != '.') return error("expected '.'");
+    // Only whitespace or a comment may follow the terminating dot.
+    ++pos;
+    SkipSpace(line, pos);
+    if (pos < line.size() && line[pos] != '#') {
+      return error("unexpected text after '.'");
     }
-    if (!p->IsIri()) {
-      return Status::ParseError("line " + std::to_string(line_no) +
-                                ": predicate must be an IRI");
+    if (s->IsLiteral()) {
+      return error("subject must be an IRI or a blank node");
     }
+    if (!p->IsIri()) return error("predicate must be an IRI");
     graph.Add(*s, *p, *o);
   }
   return graph;

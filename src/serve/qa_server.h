@@ -9,7 +9,7 @@
 //  * Per-question deadlines — each request carries a util::CancelToken
 //    that starts ticking at admission (queue wait counts against the
 //    deadline).  Workers bind it around Engine::AnswerFull, the thread
-//    pool propagates it into the linking/execution fan-out, and the
+//    pool propagates it into the candidate-execution waves, and the
 //    endpoint fails expired queries fast, so an expired question stops
 //    issuing probes and returns a partial-or-empty response flagged
 //    deadline_exceeded — without poisoning the linking cache.

@@ -56,22 +56,6 @@ size_t TripleStore::Insert(
   return added;
 }
 
-size_t TripleStore::Erase(TermId s, TermId p, TermId o) {
-  // Collect the victims from the canonical index, then filter each
-  // permutation (erase-remove keeps the sorted order intact).
-  std::vector<Triple> victims = MatchAll(s, p, o);
-  if (victims.empty()) return 0;
-  std::sort(victims.begin(), victims.end());
-  auto is_victim = [&](const Triple& t) {
-    return std::binary_search(victims.begin(), victims.end(), t);
-  };
-  for (auto& index : indexes_) {
-    index.erase(std::remove_if(index.begin(), index.end(), is_victim),
-                index.end());
-  }
-  return victims.size();
-}
-
 ScanRange TripleStore::Locate(TermId s, TermId p, TermId o) const {
   const bool bs = s != kNullTermId;
   const bool bp = p != kNullTermId;

@@ -97,11 +97,6 @@ class TripleStore {
   size_t Insert(const std::vector<std::array<rdf::Term, 3>>& triples,
                 std::vector<Triple>* inserted = nullptr);
 
-  // Removes every triple matching the pattern (kNullTermId components are
-  // wildcards).  Returns the number of removed triples.  Dictionary
-  // entries are retained (terms may be referenced elsewhere).
-  size_t Erase(TermId s, TermId p, TermId o);
-
   // Calls `fn(triple)` for every triple matching the pattern; kNullTermId
   // components are wildcards.  `fn` returns false to stop early.
   template <typename Fn>

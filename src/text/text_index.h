@@ -44,8 +44,8 @@ class TextIndex {
   // indexes the literals those triples made objects for the first time,
   // and nothing else, so the cost follows the delta rather than the KG.
   // Pre-condition: the index matched the store just before that insert
-  // (built from it, or kept current by Add, with no Erase since); it then
-  // equals a fresh TextIndex(store).  Returns the number of literals
+  // (built from it, or kept current by Add); it then equals a fresh
+  // TextIndex(store).  Returns the number of literals
   // indexed.
   size_t Add(const store::TripleStore& store,
              const std::vector<rdf::Triple>& inserted);

@@ -2,13 +2,14 @@
 // results.
 //
 // Design notes:
-//  * No work stealing: the pool exists to overlap endpoint round-trips and
-//    per-vertex/per-edge linking fan-out, whose tasks are coarse enough
+//  * No work stealing: the pool exists to overlap the endpoint round-trips
+//    of candidate-query execution waves, whose tasks are coarse enough
 //    that a single locked queue is never the bottleneck.
 //  * Submit() is thread-safe and may be called from worker threads, but a
 //    task must never block on the future of another task submitted to the
 //    same pool (classic deadlock when all workers wait).  The engine's
-//    fan-out therefore always joins futures from the calling thread only.
+//    execution waves therefore always join futures from the calling
+//    thread only.
 //  * Exceptions thrown by a task are captured in its future and rethrown
 //    at future.get(), so callers see them on the joining thread.
 //  * Observability: Submit() captures the submitting thread's trace
@@ -18,8 +19,8 @@
 //    queue depth (gauge), queue wait and task latency (histograms).
 //  * Cancellation: Submit() likewise captures the submitting thread's
 //    util::CancelToken and rebinds it inside the task, so a request's
-//    deadline cooperatively cancels the linking/execution fan-out it
-//    spawned (the task still runs — it observes the token and unwinds).
+//    deadline cooperatively cancels the execution wave it spawned (the
+//    task still runs — it observes the token and unwinds).
 
 #ifndef KGQAN_UTIL_THREAD_POOL_H_
 #define KGQAN_UTIL_THREAD_POOL_H_
@@ -59,7 +60,7 @@ class ThreadPool {
 
   // Enqueues `fn` and returns a future for its result.  The task runs
   // under the submitting thread's trace context and cancellation token
-  // (see header comment), so a request's deadline follows its fan-out.
+  // (see header comment), so a request's deadline follows its tasks.
   template <typename Fn>
   auto Submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
     using R = std::invoke_result_t<Fn>;

@@ -5,10 +5,11 @@
 // candidate and every cross-edge combination as strings, stable-sorted
 // them and truncated; it is kept below as the oracle.  Over random AGPs
 // (1-3 edges, unknown anchors, entity and unknown non-anchor nodes, tied
-// scores, anchors missing from their node's vertices, products past the
-// 4,096-combination cap, random max_queries / max_edge_candidates) both
-// must return the identical ranked list: the same triples, the same
-// scores (exact doubles) and the same order.
+// scores, anchors missing from their node's vertices, edges past the
+// per-edge cut of BgpGenerator::kMaxEdgeCandidates, products past the
+// 4,096-combination cap, random max_queries) both must return the
+// identical ranked list: the same triples, the same scores (exact doubles)
+// and the same order.
 //
 // The binary has its own main: `--seed=N` (or the KGQAN_PROPERTY_SEED
 // environment variable) reseeds the generator, so CI can rotate seeds and
@@ -118,7 +119,7 @@ std::vector<Bgp> OracleGenerate(const Agp& agp, const KgqanConfig& config,
   std::vector<std::vector<OracleCandidate>> per_edge;
   for (size_t e = 0; e < num_edges; ++e) {
     per_edge.push_back(
-        OracleEdgeCandidates(agp, e, config.max_edge_candidates));
+        OracleEdgeCandidates(agp, e, BgpGenerator::kMaxEdgeCandidates));
     if (per_edge.back().empty()) return {};
   }
   constexpr size_t kMaxCombos = 4096;
@@ -178,10 +179,8 @@ class AgpGen {
   Agp Next(bool wide, KgqanConfig* config) {
     ties_ = rng_.UniformInt(0, 1) == 1;
     config->max_queries = static_cast<size_t>(rng_.UniformInt(1, 60));
-    config->max_edge_candidates = static_cast<size_t>(rng_.UniformInt(1, 30));
     qu::TriplePatterns triples;
     if (wide) {
-      config->max_edge_candidates = static_cast<size_t>(rng_.UniformInt(17, 30));
       const char* const kEntities[] = {"A", "B", "C"};
       for (const char* entity : kEntities) {
         triples.push_back(
@@ -313,6 +312,7 @@ TEST(BgpPropertyTest, MatchesTheMaterializingOracle) {
   constexpr int kCases = 600;
   AgpGen gen(g_property_seed);
   size_t capped = 0;
+  size_t cut_edges = 0;
   for (int c = 0; c < kCases; ++c) {
     KgqanConfig config;
     const bool wide = c % 10 == 9;
@@ -327,8 +327,16 @@ TEST(BgpPropertyTest, MatchesTheMaterializingOracle) {
     ASSERT_TRUE(SameBgps(want, got));
     EXPECT_EQ(got_combinations, want_combinations);
     if (want_combinations == 4096) ++capped;
+    for (size_t e = 0; e < agp.pgp.edges().size(); ++e) {
+      if (OracleEdgeCandidates(agp, e, SIZE_MAX).size() >
+          BgpGenerator::kMaxEdgeCandidates) {
+        ++cut_edges;
+      }
+    }
   }
-  // The wide cases really exercised the combination cap.
+  // The generated edges really exercised the per-edge cut, and the wide
+  // cases the combination cap.
+  EXPECT_GT(cut_edges, 0u);
   EXPECT_GT(capped, 0u);
 }
 

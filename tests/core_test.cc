@@ -432,9 +432,8 @@ TEST(FiltrationTest, DateAndNumberChecks) {
 }
 
 TEST(FiltrationTest, StringModeDropsNumbersAndMismatchedClasses) {
-  KgqanConfig cfg;
   embed::SemanticAffinity affinity;
-  Filtration f(&cfg, &affinity);
+  Filtration f(&affinity);
   nlp::AnswerTypePrediction pred;
   pred.data_type = nlp::AnswerDataType::kString;
   pred.semantic_type = "sea";
@@ -457,9 +456,8 @@ TEST(FiltrationTest, StringModeDropsNumbersAndMismatchedClasses) {
 TEST(FiltrationTest, SemanticFilterNeverEmptiesTheAnswerSet) {
   // All candidates mismatch the predicted type: the comparative rule keeps
   // everything rather than destroying recall (Sec. 7.3.3).
-  KgqanConfig cfg;
   embed::SemanticAffinity affinity;
-  Filtration f(&cfg, &affinity);
+  Filtration f(&affinity);
   nlp::AnswerTypePrediction pred;
   pred.data_type = nlp::AnswerDataType::kString;
   pred.semantic_type = "sea";
@@ -471,9 +469,8 @@ TEST(FiltrationTest, SemanticFilterNeverEmptiesTheAnswerSet) {
 }
 
 TEST(FiltrationTest, DateModeKeepsOnlyDates) {
-  KgqanConfig cfg;
   embed::SemanticAffinity affinity;
-  Filtration f(&cfg, &affinity);
+  Filtration f(&affinity);
   nlp::AnswerTypePrediction pred;
   pred.data_type = nlp::AnswerDataType::kDate;
   std::vector<CandidateAnswer> candidates;
@@ -488,9 +485,8 @@ TEST(FiltrationTest, DateModeKeepsOnlyDates) {
 }
 
 TEST(FiltrationTest, NumericalModeKeepsOnlyNumbers) {
-  KgqanConfig cfg;
   embed::SemanticAffinity affinity;
-  Filtration f(&cfg, &affinity);
+  Filtration f(&affinity);
   nlp::AnswerTypePrediction pred;
   pred.data_type = nlp::AnswerDataType::kNumerical;
   std::vector<CandidateAnswer> candidates;
@@ -499,15 +495,6 @@ TEST(FiltrationTest, NumericalModeKeepsOnlyNumbers) {
   candidates.push_back({rdf::Iri("http://x/a"), {}});
   candidates.push_back({StringLiteral("not a number"), {}});
   EXPECT_EQ(f.Filter(candidates, pred).size(), 2u);
-}
-
-TEST(FiltrationTest, FilteringCanBeDisabled) {
-  KgqanConfig cfg;
-  cfg.enable_filtration = false;
-  // Engine-level behaviour is covered by the fig10 bench; here just check
-  // the flag exists and defaults on.
-  EXPECT_FALSE(cfg.enable_filtration);
-  EXPECT_TRUE(KgqanConfig().enable_filtration);
 }
 
 }  // namespace

@@ -539,6 +539,42 @@ TEST(ExplainAnalyzeTest, GenerationSpanNestsUnderExecution) {
   EXPECT_GE(std::stoul(combinations), result.queries_generated);
 }
 
+std::string SpanAttribute(const obs::SpanRecord& span,
+                          const std::string& key) {
+  for (const auto& [k, value] : span.attributes) {
+    if (k == key) return value;
+  }
+  return "";
+}
+
+TEST(ExplainAnalyzeTest, LinkingSpansAttributeCacheHits) {
+  // A repeated question is linked from the cache: its linking.entity and
+  // linking.relation spans say so, and no text probe runs.
+  sparql::Endpoint endpoint("mini", MiniKg());
+  core::KgqanEngine engine(ServingConfig());
+  const std::string question = "Who is the spouse of Barack Obama?";
+  obs::Trace first(obs::Trace::Mode::kFull);
+  engine.AnswerFull(question, endpoint, &first);
+  obs::Trace repeated(obs::Trace::Mode::kFull);
+  engine.AnswerFull(question, endpoint, &repeated);
+
+  auto cached_values = [](const obs::Trace& trace, const std::string& name) {
+    std::vector<std::string> values;
+    for (const obs::SpanRecord& span : trace.spans()) {
+      if (span.name == name) values.push_back(SpanAttribute(span, "cached"));
+    }
+    return values;
+  };
+  const std::vector<std::string> miss = {"false"};
+  const std::vector<std::string> hit = {"true"};
+  EXPECT_EQ(cached_values(first, "linking.entity"), miss);
+  EXPECT_EQ(cached_values(first, "linking.relation"), miss);
+  EXPECT_NE(first.FindSpan("linking.text_probe"), obs::kNoSpan);
+  EXPECT_EQ(cached_values(repeated, "linking.entity"), hit);
+  EXPECT_EQ(cached_values(repeated, "linking.relation"), hit);
+  EXPECT_EQ(repeated.FindSpan("linking.text_probe"), obs::kNoSpan);
+}
+
 TEST(ExplainAnalyzeTest, OffByDefaultCollectsNothing) {
   sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanEngine engine(ServingConfig());

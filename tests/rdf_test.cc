@@ -215,6 +215,35 @@ TEST(NTriplesTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseNTriples("<a> <p> \"unterminated .\n").ok());
 }
 
+TEST(NTriplesTest, RejectsLiteralSubject) {
+  auto g = ParseNTriples("\"x\" <http://x/p> <http://x/o> .\n");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), util::StatusCode::kParseError);
+  EXPECT_TRUE(ParseNTriples("_:x <http://x/p> \"x\" .\n").ok());
+}
+
+TEST(NTriplesTest, RejectsEmptyBlankNodeLabel) {
+  auto g = ParseNTriples("_: <http://x/p> <http://x/o> .\n");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), util::StatusCode::kParseError);
+  EXPECT_FALSE(ParseNTriples("<http://x/s> <http://x/p> _:\t.\n").ok());
+}
+
+TEST(NTriplesTest, RejectsTextAfterTheDot) {
+  auto g = ParseNTriples("<http://x/s> <http://x/p> <http://x/o> . junk\n");
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), util::StatusCode::kParseError);
+  EXPECT_FALSE(
+      ParseNTriples("<http://x/s> <http://x/p> <http://x/o> .. \n").ok());
+  // Whitespace or a comment after the dot is still fine.
+  auto ok = ParseNTriples(
+      "<http://x/s> <http://x/p> <http://x/o> . \t\n"
+      "<http://x/s> <http://x/p> <http://x/o2> . # trailing comment\n"
+      "<http://x/s> <http://x/p> <http://x/o3> .#tight\n");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->size(), 3u);
+}
+
 TEST(NTriplesTest, ErrorsIncludeLineNumbers) {
   auto g = ParseNTriples(
       "<http://x/a> <http://x/p> \"v\" .\n"

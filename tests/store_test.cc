@@ -3,9 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
-#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -186,39 +184,6 @@ TEST(TripleStoreTest, InsertMergesNewTriples) {
             1u);
 }
 
-TEST(TripleStoreTest, EraseByPattern) {
-  Graph g = SmallGraph();
-  TermId baltic = *g.dictionary().FindIri("http://x/baltic");
-  TripleStore store(std::move(g));
-  size_t before = store.size();
-  // Erase everything with subject baltic (3 triples).
-  size_t removed = store.Erase(baltic, rdf::kNullTermId, rdf::kNullTermId);
-  EXPECT_EQ(removed, 3u);
-  EXPECT_EQ(store.size(), before - 3);
-  EXPECT_EQ(store.CountMatches(baltic, rdf::kNullTermId, rdf::kNullTermId),
-            0u);
-  // The incoming edge to baltic survives, and all orderings agree.
-  EXPECT_EQ(store.CountMatches(rdf::kNullTermId, rdf::kNullTermId, baltic),
-            1u);
-  // Erasing again removes nothing.
-  EXPECT_EQ(store.Erase(baltic, rdf::kNullTermId, rdf::kNullTermId), 0u);
-}
-
-TEST(TripleStoreTest, EraseThenInsertRoundTrip) {
-  Graph g = SmallGraph();
-  TermId s = *g.dictionary().FindIri("http://x/danish_straits");
-  TermId p = *g.dictionary().FindIri("http://x/outflow");
-  TermId o = *g.dictionary().FindIri("http://x/baltic");
-  TripleStore store(std::move(g));
-  EXPECT_EQ(store.Erase(s, p, o), 1u);
-  EXPECT_FALSE(store.Contains(s, p, o));
-  std::vector<std::array<Term, 3>> batch;
-  batch.push_back({Iri("http://x/danish_straits"), Iri("http://x/outflow"),
-                   Iri("http://x/baltic")});
-  EXPECT_EQ(store.Insert(batch), 1u);
-  EXPECT_TRUE(store.Contains(s, p, o));
-}
-
 TEST(TripleStoreTest, InsertEmptyAndDuplicateBatches) {
   Graph g = SmallGraph();
   TripleStore store(std::move(g));
@@ -366,10 +331,10 @@ TEST_P(TripleStorePropertyTest, PredicateListsAgreeWithNaiveScan) {
   }
 }
 
-// Live inserts and pattern erases keep all five permutation indexes in
-// step: after each round every bound-component combination still agrees
-// with a naive scan of the expected triple set.
-TEST_P(TripleStorePropertyTest, InsertAndEraseKeepPermutationsInStep) {
+// Live inserts keep all five permutation indexes in step: after each
+// round every bound-component combination still agrees with a naive scan
+// of the expected triple set.
+TEST_P(TripleStorePropertyTest, InsertsKeepPermutationsInStep) {
   util::Rng rng(GetParam() ^ 0x5EED);
   auto iri = [&](const char* prefix, int n) {
     return Iri("http://x/" + std::string(prefix) +
@@ -388,20 +353,14 @@ TEST_P(TripleStorePropertyTest, InsertAndEraseKeepPermutationsInStep) {
       Term s = iri("s", 16), p = iri("p", 5), o = iri("o", 20);
       batch.push_back({s, p, o});
     }
-    store.Insert(batch);
+    const size_t before = expected.size();
+    const size_t added = store.Insert(batch);
     for (const auto& [s, p, o] : batch) {
       expected.insert(rdf::Triple{*store.dictionary().Find(s),
                                   *store.dictionary().Find(p),
                                   *store.dictionary().Find(o)});
     }
-    // Erase the subject-predicate pair of one random triple.
-    const int64_t pick =
-        rng.UniformInt(0, static_cast<int64_t>(expected.size()) - 1);
-    const rdf::Triple victim = *std::next(expected.begin(), pick);
-    const size_t erased = std::erase_if(expected, [&](const rdf::Triple& t) {
-      return t.s == victim.s && t.p == victim.p;
-    });
-    EXPECT_EQ(store.Erase(victim.s, victim.p, rdf::kNullTermId), erased);
+    EXPECT_EQ(added, expected.size() - before);
     ASSERT_EQ(store.size(), expected.size());
     SCOPED_TRACE("round " + std::to_string(round));
     ExpectAgreesWithNaiveScan(store, expected, rng, 30);
