@@ -3,7 +3,7 @@
 // Endpoint::AddNTriples feeds to ParseNTriples), Turtle, and the
 // `bif:contains` expression language of the text index.  Valid documents
 // and expressions are mutated (byte flips, truncation, token splices,
-// long digit runs, repeated chunks), and every mutated input must yield a
+// long digit runs; input_mutator.h), and every mutated input must yield a
 // value or a Status: no throw, no crash (the sanitizer job runs this too)
 // and no hang (the suite's timeout).  An N-Triples graph that does parse
 // writes back to N-Triples that parses again to as many triples.
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,8 +22,8 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "input_mutator.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -106,64 +105,6 @@ const char* const kContainsShapes[] = {
     "'2022' and 'delta' or 'island'",
 };
 
-class Mutator {
- public:
-  Mutator(uint64_t seed, const char* const* splices, size_t num_splices)
-      : rng_(seed), splices_(splices), num_splices_(num_splices) {}
-
-  std::string Mutate(std::string text) {
-    const int rounds = static_cast<int>(rng_.UniformInt(1, 4));
-    for (int r = 0; r < rounds; ++r) {
-      switch (rng_.UniformInt(0, 4)) {
-        case 0:  // Byte flip: any byte value, NUL and high bytes included.
-          if (!text.empty()) {
-            text[Offset(text.size() - 1)] =
-                static_cast<char>(rng_.UniformInt(0, 255));
-          }
-          break;
-        case 1:  // Truncation.
-          text.resize(Offset(text.size()));
-          break;
-        case 2:  // Token splice.
-          text.insert(Offset(text.size()),
-                      splices_[rng_.UniformInt(
-                          0, static_cast<int64_t>(num_splices_) - 1)]);
-          break;
-        case 3: {  // A long digit run, sometimes signed or decimal.
-          std::string digits;
-          if (rng_.UniformInt(0, 2) == 0) digits += '-';
-          const int64_t length = rng_.UniformInt(15, 400);
-          for (int64_t d = 0; d < length; ++d) {
-            digits += static_cast<char>('0' + rng_.UniformInt(0, 9));
-          }
-          if (rng_.UniformInt(0, 3) == 0) digits.insert(digits.size() / 2, ".");
-          text.insert(Offset(text.size()), digits);
-          break;
-        }
-        default: {  // Repeat a chunk of the input in place.
-          if (text.empty()) break;
-          const size_t start = Offset(text.size() - 1);
-          const size_t length =
-              Offset(std::min<size_t>(64, text.size() - start));
-          text.insert(start, text.substr(start, length));
-          break;
-        }
-      }
-    }
-    return text;
-  }
-
- private:
-  size_t Offset(size_t max_inclusive) {
-    return static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(max_inclusive)));
-  }
-
-  util::Rng rng_;
-  const char* const* splices_;
-  size_t num_splices_;
-};
-
 std::string InputTrace(const char* parser, int c, const std::string& input) {
   return std::string(parser) + " seed " + std::to_string(g_property_seed) +
          " input " + std::to_string(c) + ":\n" + input;
@@ -172,7 +113,7 @@ std::string InputTrace(const char* parser, int c, const std::string& input) {
 TEST(ParserFuzzPropertyTest, MutatedNTriplesYieldAGraphOrAStatus) {
   util::Rng master(g_property_seed ^ 0x0A7u);
   util::Rng graphs(master.Next());
-  Mutator mutator(master.Next(), kNTriplesSplices, std::size(kNTriplesSplices));
+  fuzz::InputMutator mutator(master.Next(), kNTriplesSplices);
   size_t parsed = 0;
   for (int c = 0; c < kInputs; ++c) {
     const std::string input = mutator.Mutate(
@@ -203,7 +144,7 @@ TEST(ParserFuzzPropertyTest, MutatedNTriplesYieldAGraphOrAStatus) {
 TEST(ParserFuzzPropertyTest, MutatedTurtleYieldsAGraphOrAStatus) {
   util::Rng master(g_property_seed ^ 0x77Cu);
   util::Rng graphs(master.Next());
-  Mutator mutator(master.Next(), kTurtleSplices, std::size(kTurtleSplices));
+  fuzz::InputMutator mutator(master.Next(), kTurtleSplices);
   const std::map<std::string, std::string> prefixes = {
       {"ex", "http://x/"}, {"xsd", "http://www.w3.org/2001/XMLSchema#"}};
   const std::string handwritten =
@@ -237,8 +178,7 @@ TEST(ParserFuzzPropertyTest, MutatedTurtleYieldsAGraphOrAStatus) {
 
 TEST(ParserFuzzPropertyTest, MutatedContainsExpressionsYieldAQueryOrAStatus) {
   util::Rng master(g_property_seed ^ 0xB1Fu);
-  Mutator mutator(master.Next(), kContainsSplices,
-                  std::size(kContainsSplices));
+  fuzz::InputMutator mutator(master.Next(), kContainsSplices);
   size_t parsed = 0;
   for (int c = 0; c < kInputs; ++c) {
     const std::string input =

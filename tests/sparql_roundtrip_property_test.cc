@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "input_mutator.h"
 #include "rdf/graph.h"
 #include "sparql/ast.h"
 #include "sparql/endpoint.h"
@@ -374,54 +375,6 @@ const char* const kSplices[] = {
     "p:",     "bif:contains", "true", "false", "a:b.c.", "_",
 };
 
-class Mutator {
- public:
-  explicit Mutator(uint64_t seed) : rng_(seed) {}
-
-  std::string Mutate(std::string text) {
-    const int rounds = static_cast<int>(rng_.UniformInt(1, 4));
-    for (int r = 0; r < rounds; ++r) {
-      switch (rng_.UniformInt(0, 3)) {
-        case 0:  // Byte flip: any byte value, NUL and high bytes included.
-          if (!text.empty()) {
-            text[Offset(text.size() - 1)] =
-                static_cast<char>(rng_.UniformInt(0, 255));
-          }
-          break;
-        case 1:  // Truncation.
-          text.resize(Offset(text.size()));
-          break;
-        case 2: {  // Token splice.
-          const char* splice = kSplices[rng_.UniformInt(
-              0, static_cast<int64_t>(std::size(kSplices)) - 1)];
-          text.insert(Offset(text.size()), splice);
-          break;
-        }
-        default: {  // A long digit run, sometimes signed or decimal.
-          std::string digits;
-          if (rng_.UniformInt(0, 2) == 0) digits += '-';
-          const int64_t length = rng_.UniformInt(15, 400);
-          for (int64_t d = 0; d < length; ++d) {
-            digits += static_cast<char>('0' + rng_.UniformInt(0, 9));
-          }
-          if (rng_.UniformInt(0, 3) == 0) digits.insert(digits.size() / 2, ".");
-          text.insert(Offset(text.size()), digits);
-          break;
-        }
-      }
-    }
-    return text;
-  }
-
- private:
-  size_t Offset(size_t max_inclusive) {
-    return static_cast<size_t>(
-        rng_.UniformInt(0, static_cast<int64_t>(max_inclusive)));
-  }
-
-  util::Rng rng_;
-};
-
 // Every mutated input yields a query or a Status: no throw, no crash (the
 // sanitizer job runs this too), and no hang (the suite's timeout).  A
 // query that does parse serializes to text that parses again.
@@ -429,7 +382,7 @@ TEST(SparqlRoundTripPropertyTest, MutatedQueriesYieldAValueOrAStatus) {
   constexpr int kInputs = 20000;
   util::Rng master(g_property_seed ^ 0xF022u);
   Generator gen(master.Next());
-  Mutator mutator(master.Next());
+  fuzz::InputMutator mutator(master.Next(), kSplices);
   size_t parsed = 0;
   for (int c = 0; c < kInputs; ++c) {
     std::string seed_text =
