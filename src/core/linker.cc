@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -32,6 +33,18 @@ obs::Histogram& RelationLinkLatency() {
   static obs::Histogram& histogram =
       obs::MetricsRegistry::Global().GetHistogram("linker.relation_link_ms");
   return histogram;
+}
+
+using Phrase = embed::SemanticAffinity::Phrase;
+
+// affinity.Prepared(text) for a phrase that must outlive later calls: one
+// prepared past the memo's capacity is kept in its own `scratch` slot.
+const Phrase& PreparedKept(const embed::SemanticAffinity& affinity,
+                           std::string_view text, std::deque<Phrase>* scratch) {
+  if (scratch->empty()) scratch->emplace_back();
+  const Phrase& phrase = affinity.Prepared(text, &scratch->back());
+  if (&phrase == &scratch->back()) scratch->emplace_back();
+  return phrase;
 }
 
 // Truncates a scored vector to its top-k by score (stable for ties).
@@ -118,26 +131,32 @@ std::vector<RelevantVertex> JitLinker::ScoreEntityRows(
     const std::vector<std::pair<std::string_view, std::string_view>>& rows)
     const {
   // Best affinity per vertex across its descriptions.  The label is
-  // embedded once per probe, each distinct description scored once per
-  // probe (probes often return the same literal under several predicates
-  // or vertices) and prepared once per affinity object via its memo.
-  // `best` hashes and orders its keys as a std::string map would, so ties
-  // keep their rank.
+  // embedded once per probe, and the probe's distinct descriptions
+  // (probes often return the same literal under several predicates or
+  // vertices) are prepared once per affinity object via its memo and
+  // scored in one batch.  `best` is filled in row order and hashes its
+  // keys as a std::string map would, so ties keep their rank.
   std::unordered_map<std::string_view, double> best;
   {
     obs::ScopedSpan span("linking.affinity");
-    const embed::SemanticAffinity::Phrase prepared_label =
-        affinity_->Prepare(label);
-    embed::SemanticAffinity::Phrase scratch;
-    std::unordered_map<std::string_view, double> by_description;
+    const Phrase prepared_label = affinity_->Prepare(label);
+    std::deque<Phrase> scratch;  // Phrases past the memo, until scored.
+    std::unordered_map<std::string_view, size_t> by_description;
+    std::vector<const Phrase*> phrases;
+    std::vector<size_t> row_phrase;
+    row_phrase.reserve(rows.size());
     for (const auto& [v_iri, d_value] : rows) {
-      auto [memo, fresh] = by_description.emplace(d_value, 0.0);
+      auto [it, fresh] = by_description.try_emplace(d_value, phrases.size());
       if (fresh) {
-        memo->second = affinity_->NormalizedScore(
-            prepared_label, affinity_->Prepared(d_value, &scratch));
+        phrases.push_back(&PreparedKept(*affinity_, d_value, &scratch));
       }
-      const double score = memo->second;
-      auto [it, inserted] = best.emplace(v_iri, score);
+      row_phrase.push_back(it->second);
+    }
+    std::vector<double> scores;
+    affinity_->NormalizedScores(prepared_label, phrases, &scores);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const double score = scores[row_phrase[r]];
+      auto [it, inserted] = best.emplace(rows[r].first, score);
       if (!inserted && score > it->second) it->second = score;
     }
   }
@@ -271,12 +290,17 @@ std::vector<RelevantPredicate> JitLinker::LinkRelation(
 
   {
     obs::ScopedSpan affinity_span("linking.affinity");
-    const embed::SemanticAffinity::Phrase prepared_label =
-        affinity_->Prepare(edge.label);
-    embed::SemanticAffinity::Phrase scratch;
-    for (auto& [score, description] : unscored) {
-      *score = affinity_->NormalizedScore(
-          prepared_label, affinity_->Prepared(description, &scratch));
+    const Phrase prepared_label = affinity_->Prepare(edge.label);
+    std::deque<Phrase> scratch;  // Phrases past the memo, until scored.
+    std::vector<const Phrase*> phrases;
+    phrases.reserve(unscored.size());
+    for (const auto& [score, description] : unscored) {
+      phrases.push_back(&PreparedKept(*affinity_, description, &scratch));
+    }
+    std::vector<double> batch;
+    affinity_->NormalizedScores(prepared_label, phrases, &batch);
+    for (size_t i = 0; i < unscored.size(); ++i) {
+      *unscored[i].first = batch[i];
     }
   }
   for (RelevantPredicate& rp : out) rp.score = scores[rp.iri];

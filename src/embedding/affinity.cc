@@ -1,8 +1,10 @@
 #include "embedding/affinity.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <mutex>
+#include <unordered_map>
 
 #include "text/tokenizer.h"
 
@@ -53,31 +55,150 @@ const SemanticAffinity::Phrase& SemanticAffinity::Prepared(
       .first->second;
 }
 
+namespace {
+
+// out[j] = Dot(x, *ys[j]) for j < 4, bit for bit: each sum adds the double
+// products in ascending index order, as Dot does, but the four sums are
+// independent chains, so they overlap instead of waiting on one another.
+// Pre-condition: every ys[j] has x's dimension.
+void Dot4(const Vec& x, const Vec* const* ys, double* out) {
+  const float* y0 = ys[0]->data();
+  const float* y1 = ys[1]->data();
+  const float* y2 = ys[2]->data();
+  const float* y3 = ys[3]->data();
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double xi = x[i];
+    s0 += xi * double(y0[i]);
+    s1 += xi * double(y1[i]);
+    s2 += xi * double(y2[i]);
+    s3 += xi * double(y3[i]);
+  }
+  out[0] = s0;
+  out[1] = s1;
+  out[2] = s2;
+  out[3] = s3;
+}
+
+// out[j] = Dot(x, *ys[j]) for j < n, bit for bit, four at a time.
+void DotRow(const Vec& x, const Vec* const* ys, size_t n, double* out) {
+  size_t j = 0;
+  for (; j + 4 <= n; j += 4) Dot4(x, ys + j, out + j);
+  for (; j < n; ++j) out[j] = Dot(x, *ys[j]);
+}
+
+}  // namespace
+
 double SemanticAffinity::Score(const Phrase& a, const Phrase& b) const {
   const auto& xs = a.tokens_;
   const auto& ys = b.tokens_;
   if (xs.empty() || ys.empty()) return 0.0;
 
   // Eq. 1: mean over all cross pairs; cross-model pairs score 0.  Each
-  // cosine is Cosine()'s own expression over the cached norms.
+  // cosine is Cosine()'s own expression over the cached norms.  Each token
+  // of `a` takes its dot products with the same-model tokens of `b` in one
+  // DotRow, then its cosines are summed in pair order.
+  std::vector<const Vec*> row_vecs;
+  std::vector<double> row_norms;
+  std::vector<double> dots(ys.size());
+  row_vecs.reserve(ys.size());
+  row_norms.reserve(ys.size());
   double sum = 0.0;
   for (const Phrase::Token& x : xs) {
+    if (x.norm < 1e-9) continue;
+    row_vecs.clear();
+    row_norms.clear();
     for (const Phrase::Token& y : ys) {
       if (x.from_word_model != y.from_word_model) continue;
-      if (x.norm < 1e-9 || y.norm < 1e-9) continue;
-      sum += std::max(0.0, Dot(*x.vec, *y.vec) / (x.norm * y.norm));
+      if (y.norm < 1e-9) continue;
+      row_vecs.push_back(y.vec);
+      row_norms.push_back(y.norm);
+    }
+    DotRow(*x.vec, row_vecs.data(), row_vecs.size(), dots.data());
+    for (size_t k = 0; k < row_vecs.size(); ++k) {
+      sum += std::max(0.0, dots[k] / (x.norm * row_norms[k]));
     }
   }
   return sum / (static_cast<double>(xs.size()) * static_cast<double>(ys.size()));
 }
 
+double SemanticAffinity::Normalize(double raw, double self_a,
+                                   double self_b) {
+  if (raw <= 0.0) return 0.0;
+  if (self_a <= 0.0 || self_b <= 0.0) return 0.0;
+  double norm = raw / std::sqrt(self_a * self_b);
+  return std::min(1.0, norm);
+}
+
 double SemanticAffinity::NormalizedScore(const Phrase& a,
                                          const Phrase& b) const {
-  double raw = Score(a, b);
-  if (raw <= 0.0) return 0.0;
-  if (a.self_score_ <= 0.0 || b.self_score_ <= 0.0) return 0.0;
-  double norm = raw / std::sqrt(a.self_score_ * b.self_score_);
-  return std::min(1.0, norm);
+  return Normalize(Score(a, b), a.self_score_, b.self_score_);
+}
+
+void SemanticAffinity::NormalizedScores(
+    const Phrase& label, const std::vector<const Phrase*>& phrases,
+    std::vector<double>* out) const {
+  out->assign(phrases.size(), 0.0);
+  const auto& xs = label.tokens_;
+  if (xs.empty()) return;
+
+  // The batch's distinct token vectors per model (by address: the
+  // embedder caches hand out one vector per token), and for every batch
+  // token, in phrase order, its index in its model's list.  Tokens with a
+  // near-zero norm never contribute to Score and get no index.
+  std::unordered_map<const Vec*, size_t> index_of;
+  std::array<std::vector<const Vec*>, 2> vecs;  // [from_word_model]
+  std::vector<size_t> token_index;
+  index_of.reserve(phrases.size());
+  token_index.reserve(2 * phrases.size());
+  for (const Phrase* phrase : phrases) {
+    for (const Phrase::Token& y : phrase->tokens_) {
+      if (y.norm < 1e-9) {
+        token_index.push_back(0);  // Never read: Score skips the token.
+        continue;
+      }
+      std::vector<const Vec*>& list = vecs[y.from_word_model];
+      auto [it, fresh] = index_of.try_emplace(y.vec, list.size());
+      if (fresh) list.push_back(y.vec);
+      token_index.push_back(it->second);
+    }
+  }
+
+  // dots[m][x * vecs[m].size() + j] = Dot(*x.vec, *vecs[m][j]) for every
+  // label token x of model m: each distinct pair once.
+  std::array<std::vector<double>, 2> dots;
+  for (size_t m = 0; m < 2; ++m) dots[m].resize(xs.size() * vecs[m].size());
+  for (size_t xi = 0; xi < xs.size(); ++xi) {
+    const Phrase::Token& x = xs[xi];
+    if (x.norm < 1e-9) continue;
+    const std::vector<const Vec*>& list = vecs[x.from_word_model];
+    DotRow(*x.vec, list.data(), list.size(),
+           &dots[x.from_word_model][xi * list.size()]);
+  }
+
+  // Each phrase's Eq. 1 sum in Score()'s order: x-major, then its tokens.
+  const size_t* cursor = token_index.data();
+  for (size_t i = 0; i < phrases.size(); ++i) {
+    const auto& ys = phrases[i]->tokens_;
+    const size_t* y_index = cursor;
+    cursor += ys.size();
+    if (ys.empty()) continue;
+    double sum = 0.0;
+    for (size_t xi = 0; xi < xs.size(); ++xi) {
+      const Phrase::Token& x = xs[xi];
+      const size_t m = x.from_word_model;
+      const double* x_dots = dots[m].data() + xi * vecs[m].size();
+      for (size_t yi = 0; yi < ys.size(); ++yi) {
+        const Phrase::Token& y = ys[yi];
+        if (x.from_word_model != y.from_word_model) continue;
+        if (x.norm < 1e-9 || y.norm < 1e-9) continue;
+        sum += std::max(0.0, x_dots[y_index[yi]] / (x.norm * y.norm));
+      }
+    }
+    const double raw =
+        sum / (static_cast<double>(xs.size()) * static_cast<double>(ys.size()));
+    (*out)[i] = Normalize(raw, label.self_score_, phrases[i]->self_score_);
+  }
 }
 
 }  // namespace kgqan::embed

@@ -13,6 +13,13 @@
 // self-score are kept, and each pair then costs only the cross-pair dot
 // products.
 //
+// A probe scores one label against a batch of up to maxVR descriptions
+// that share many tokens (the text probe matched them on the label's
+// words).  NormalizedScores() scores the whole batch in one pass: it dots
+// each distinct token vector of the batch with each label token once, four
+// vectors at a time on independent accumulators, and sums the cross pairs
+// in Score()'s own order, so every score equals NormalizedScore() exactly.
+//
 // KG literals recur across probes and questions, so Prepared() keeps a
 // memo of prepared phrases keyed by their text, shared by every thread
 // that uses this object.  A prepared phrase depends only on its text, so
@@ -112,9 +119,18 @@ class SemanticAffinity {
     return NormalizedScore(Prepare(a), Prepare(b));
   }
 
+  // Batched NormalizedScore: sets (*out)[i] to
+  // NormalizedScore(label, *phrases[i]), bit for bit, for every i.
+  void NormalizedScores(const Phrase& label,
+                        const std::vector<const Phrase*>& phrases,
+                        std::vector<double>* out) const;
+
   const SubwordEmbedder& word_model() const { return words_; }
 
  private:
+  // Eq. 1 length normalization of a raw score, given both self-scores.
+  static double Normalize(double raw, double self_a, double self_b);
+
   // Heterogeneous hashing, so a lookup by string_view allocates nothing.
   struct TextHash {
     using is_transparent = void;

@@ -62,6 +62,22 @@ StatusOr<std::string> ParseQuoted(std::string_view line, size_t& pos) {
 
 }  // namespace
 
+size_t BlankNodeLabelLength(std::string_view text) {
+  // Non-ASCII bytes stand in for the grammar's Unicode name characters.
+  auto name_char = [](char c) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    return std::isalnum(u) || c == '_' || u >= 0x80;
+  };
+  if (text.empty() || !name_char(text[0])) return 0;
+  size_t end = 1;
+  while (end < text.size() &&
+         (name_char(text[end]) || text[end] == '-' || text[end] == '.')) {
+    ++end;
+  }
+  while (text[end - 1] == '.') --end;  // The first character is no '.'.
+  return end;
+}
+
 StatusOr<Term> ParseNTriplesTerm(std::string_view line, size_t& pos) {
   SkipSpace(line, pos);
   if (pos >= line.size()) return Status::ParseError("expected term");
@@ -79,15 +95,11 @@ StatusOr<Term> ParseNTriplesTerm(std::string_view line, size_t& pos) {
     if (pos + 1 >= line.size() || line[pos + 1] != ':') {
       return Status::ParseError("bad blank node");
     }
-    size_t start = pos + 2;
-    size_t end = start;
-    while (end < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[end]))) {
-      ++end;
-    }
-    if (end == start) return Status::ParseError("empty blank node label");
-    Term t = Blank(std::string(line.substr(start, end - start)));
-    pos = end;
+    const size_t start = pos + 2;
+    const size_t length = BlankNodeLabelLength(line.substr(start));
+    if (length == 0) return Status::ParseError("empty blank node label");
+    Term t = Blank(std::string(line.substr(start, length)));
+    pos = start + length;
     return t;
   }
   if (c == '"') {

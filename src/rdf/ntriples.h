@@ -18,6 +18,13 @@ namespace kgqan::rdf {
 // Parses N-Triples text into a Graph.
 util::StatusOr<Graph> ParseNTriples(std::string_view text);
 
+// Length of the blank-node label that starts `text` (the part after
+// "_:"), per the BLANK_NODE_LABEL rule N-Triples and Turtle share: a
+// letter, digit, '_' or non-ASCII byte, then any of those, '-' or '.', but
+// never a final '.' (so `_:b1.` is the label "b1" and a triple's dot).
+// 0 when no label starts there.
+size_t BlankNodeLabelLength(std::string_view text);
+
 // Parses a single N-Triples term starting at `pos` in `line`; advances `pos`
 // past the term.  Exposed for testing.
 util::StatusOr<Term> ParseNTriplesTerm(std::string_view line, size_t& pos);

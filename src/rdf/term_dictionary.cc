@@ -3,7 +3,15 @@
 namespace kgqan::rdf {
 
 TermDictionary::TermDictionary() {
-  terms_.emplace_back();  // Reserve slot 0 as the null term.
+  Append(Term());  // Reserve slot 0 as the null term.
+}
+
+void TermDictionary::Append(const Term& term) {
+  if (next_id_ % kChunkTerms == 0) {
+    chunks_.push_back(std::make_unique<Term[]>(kChunkTerms));
+  }
+  chunks_.back()[next_id_ % kChunkTerms] = term;
+  ++next_id_;
 }
 
 std::string TermDictionary::EncodeKey(const Term& term) {
@@ -22,8 +30,8 @@ TermId TermDictionary::Intern(const Term& term) {
   std::string key = EncodeKey(term);
   auto it = ids_.find(key);
   if (it != ids_.end()) return it->second;
-  TermId id = static_cast<TermId>(terms_.size());
-  terms_.push_back(term);
+  TermId id = static_cast<TermId>(next_id_);
+  Append(term);
   // Hash-map nodes: key string + id + bucket overhead (rough but stable).
   string_bytes_ += term.value.size() + term.datatype.size() +
                    term.lang.size() + key.size() + sizeof(TermId) + 32;

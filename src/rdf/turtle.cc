@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rdf/ntriples.h"
 #include "util/string_util.h"
 
 namespace kgqan::rdf {
@@ -143,12 +144,11 @@ class TurtleParser {
     if (c == '_') {
       if (PeekAt(1) != ':') return Error("expected ':' after '_'");
       pos_ += 2;
-      size_t start = pos_;
-      while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                          Peek() == '_')) {
-        ++pos_;
-      }
-      return Blank(std::string(text_.substr(start, pos_ - start)));
+      const size_t length = BlankNodeLabelLength(text_.substr(pos_));
+      if (length == 0) return Error("empty blank node label");
+      Term t = Blank(std::string(text_.substr(pos_, length)));
+      pos_ += length;
+      return t;
     }
     if (c == '[') {
       ++pos_;

@@ -643,12 +643,14 @@ class Evaluator {
     // Aggregates: single-row result over the whole solution set.
     if (!query.aggregates.empty()) {
       std::vector<std::string> cols;
-      Row out_row;
       for (const Aggregate& agg : query.aggregates) {
         cols.push_back(agg.alias.name);
-        out_row.push_back(EvalAggregate(agg, rows));
       }
       ResultSet rs(std::move(cols));
+      Row out_row;
+      for (const Aggregate& agg : query.aggregates) {
+        out_row.emplace_back(rs.Own(EvalAggregate(agg, rows)));
+      }
       rs.AddRow(std::move(out_row));
       return rs;
     }
@@ -705,15 +707,26 @@ class Evaluator {
       }
     }
 
-    ResultSet rs(cols);
+    // Cells refer to the store dictionary's terms; an overlay (VALUES)
+    // term is copied into the result set once, at its first use.
+    ResultSet rs(std::move(cols));
+    const TermId max_store = store_.dictionary().MaxId();
+    std::vector<const Term*> owned_overlay(overlay_terms_.size(), nullptr);
+    auto cell = [&](TermId id) {
+      if (id == kNullTermId) return TermRef();
+      if (id <= max_store) return TermRef(&store_.dictionary().Get(id));
+      const Term*& owned = owned_overlay[id - max_store - 1];
+      if (owned == nullptr) owned = rs.Own(overlay_terms_[id - max_store - 1]);
+      return TermRef(owned);
+    };
     std::set<std::vector<TermId>> seen;
     size_t skipped = 0;
     for (const Binding& b : rows) {
-      std::vector<TermId> key;
-      key.reserve(col_slots.size());
-      for (size_t slot : col_slots) key.push_back(b[slot]);
       if (query.distinct) {
-        if (!seen.insert(key).second) continue;
+        std::vector<TermId> key;
+        key.reserve(col_slots.size());
+        for (size_t slot : col_slots) key.push_back(b[slot]);
+        if (!seen.insert(std::move(key)).second) continue;
       }
       if (skipped < query.offset) {
         ++skipped;
@@ -721,13 +734,7 @@ class Evaluator {
       }
       Row row;
       row.reserve(col_slots.size());
-      for (TermId id : key) {
-        if (id == kNullTermId) {
-          row.push_back(std::nullopt);
-        } else {
-          row.push_back(TermOf(id));
-        }
-      }
+      for (size_t slot : col_slots) row.push_back(cell(b[slot]));
       rs.AddRow(std::move(row));
       if (query.limit > 0 && rs.NumRows() >= query.limit) break;
     }

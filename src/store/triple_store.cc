@@ -1,7 +1,7 @@
 #include "store/triple_store.h"
 
 #include <array>
-#include <tuple>
+#include <limits>
 
 namespace kgqan::store {
 
@@ -12,8 +12,10 @@ TripleStore::TripleStore(rdf::Graph graph) : graph_(std::move(graph)) {
   indexes_[0] = std::move(base);  // SPO is the canonical sort order.
   for (size_t i = 1; i < kNumPerms; ++i) {
     indexes_[i] = indexes_[0];
-    std::sort(indexes_[i].begin(), indexes_[i].end(),
-              PermLess{static_cast<Perm>(i)});
+    WithPerm(static_cast<Perm>(i), [&](auto tag) {
+      std::sort(indexes_[i].begin(), indexes_[i].end(),
+                PermLess<decltype(tag)::value>{});
+    });
   }
 }
 
@@ -34,22 +36,24 @@ size_t TripleStore::Insert(
   std::sort(fresh.begin(), fresh.end());
   fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
   for (size_t i = 0; i < kNumPerms && !fresh.empty(); ++i) {
-    const PermLess less{static_cast<Perm>(i)};
-    std::vector<Triple> batch = fresh;
-    std::sort(batch.begin(), batch.end(), less);
-    // Merge backward into the grown vector: the largest remaining triple
-    // of either run goes to the back.  Keys are unique (the batch holds
-    // only absent triples), so the order is strict.
-    std::vector<Triple>& index = indexes_[i];
-    size_t a = index.size(), b = batch.size();
-    index.resize(a + b);
-    for (size_t out = a + b; b > 0;) {
-      if (a > 0 && less(batch[b - 1], index[a - 1])) {
-        index[--out] = index[--a];
-      } else {
-        index[--out] = batch[--b];
+    WithPerm(static_cast<Perm>(i), [&](auto tag) {
+      const PermLess<decltype(tag)::value> less;
+      std::vector<Triple> batch = fresh;
+      std::sort(batch.begin(), batch.end(), less);
+      // Merge backward into the grown vector: the largest remaining triple
+      // of either run goes to the back.  Keys are unique (the batch holds
+      // only absent triples), so the order is strict.
+      std::vector<Triple>& index = indexes_[i];
+      size_t a = index.size(), b = batch.size();
+      index.resize(a + b);
+      for (size_t out = a + b; b > 0;) {
+        if (a > 0 && less(batch[b - 1], index[a - 1])) {
+          index[--out] = index[--a];
+        } else {
+          index[--out] = batch[--b];
+        }
       }
-    }
+    });
   }
   const size_t added = fresh.size();
   if (inserted != nullptr) *inserted = std::move(fresh);
@@ -63,52 +67,43 @@ ScanRange TripleStore::Locate(TermId s, TermId p, TermId o) const {
 
   // Pick a permutation whose key prefix covers the bound components.
   Perm perm;
-  int prefix;  // Number of leading key components that are bound.
-  if (bs && bp && bo) {
-    perm = Perm::kSpo;
-    prefix = 3;
-  } else if (bs && bp) {
-    perm = Perm::kSpo;
-    prefix = 2;
-  } else if (bs && bo) {
-    perm = Perm::kSop;
-    prefix = 2;
+  if (bs && (bp || !bo)) {
+    perm = Perm::kSpo;  // (s, p, o), (s, p) or s alone.
+  } else if (bs) {
+    perm = Perm::kSop;  // (s, o).
   } else if (bp && bo) {
     perm = Perm::kPos;
-    prefix = 2;
-  } else if (bs) {
-    perm = Perm::kSpo;
-    prefix = 1;
   } else if (bp) {
     perm = Perm::kPso;
-    prefix = 1;
   } else if (bo) {
     perm = Perm::kOsp;
-    prefix = 1;
   } else {
     return ScanRange{Perm::kSpo, 0, indexes_[0].size()};
   }
 
+  // The unbound components are kNullTermId (0, below every id), so the
+  // probe's own key is the least key with the bound prefix; with them set
+  // to the largest id it is the greatest.  The range between the two is
+  // exactly the triples whose prefix matches.
+  constexpr TermId kMaxId = std::numeric_limits<TermId>::max();
+  const Triple least{s, p, o};
+  const Triple greatest{bs ? s : kMaxId, bp ? p : kMaxId, bo ? o : kMaxId};
   const std::vector<Triple>& idx = indexes_[static_cast<size_t>(perm)];
-  Triple probe{s, p, o};
-  auto cmp = [perm, prefix](const Triple& a, const Triple& b) {
-    auto ka = PermKey(perm, a);
-    auto kb = PermKey(perm, b);
-    if (std::get<0>(ka) != std::get<0>(kb)) {
-      return std::get<0>(ka) < std::get<0>(kb);
-    }
-    if (prefix >= 2 && std::get<1>(ka) != std::get<1>(kb)) {
-      return std::get<1>(ka) < std::get<1>(kb);
-    }
-    if (prefix >= 3 && std::get<2>(ka) != std::get<2>(kb)) {
-      return std::get<2>(ka) < std::get<2>(kb);
-    }
-    return false;
-  };
-  auto lo = std::lower_bound(idx.begin(), idx.end(), probe, cmp);
-  auto hi = std::upper_bound(idx.begin(), idx.end(), probe, cmp);
-  return ScanRange{perm, static_cast<size_t>(lo - idx.begin()),
-                   static_cast<size_t>(hi - idx.begin())};
+  return WithPerm(perm, [&](auto tag) {
+    constexpr Perm kPerm = decltype(tag)::value;
+    const PermKey lo_key = KeyOf<kPerm>(least);
+    const PermKey hi_key = KeyOf<kPerm>(greatest);
+    auto lo = std::lower_bound(idx.begin(), idx.end(), lo_key,
+                               [](const Triple& t, const PermKey& key) {
+                                 return KeyOf<kPerm>(t) < key;
+                               });
+    auto hi = std::upper_bound(lo, idx.end(), hi_key,
+                               [](const PermKey& key, const Triple& t) {
+                                 return key < KeyOf<kPerm>(t);
+                               });
+    return ScanRange{kPerm, static_cast<size_t>(lo - idx.begin()),
+                     static_cast<size_t>(hi - idx.begin())};
+  });
 }
 
 std::vector<Triple> TripleStore::MatchAll(TermId s, TermId p, TermId o,

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "rdf/graph.h"
@@ -32,32 +32,57 @@ enum class Perm : uint8_t { kSpo = 0, kSop, kPso, kPos, kOsp };
 
 inline constexpr size_t kNumPerms = 5;
 
-// Key extractor per permutation: the (k1, k2, k3) sort key of a triple in
-// that index.  Keys are unique within one triple set (a permutation key
-// permutes all three components of a distinct triple), so every index
-// order is total.
-inline std::tuple<TermId, TermId, TermId> PermKey(Perm perm, const Triple& t) {
-  switch (perm) {
-    case Perm::kSpo:
-      return {t.s, t.p, t.o};
-    case Perm::kSop:
-      return {t.s, t.o, t.p};
-    case Perm::kPso:
-      return {t.p, t.s, t.o};
-    case Perm::kPos:
-      return {t.p, t.o, t.s};
-    case Perm::kOsp:
-      return {t.o, t.s, t.p};
-  }
-  return {0, 0, 0};
+// Key of a triple in one permutation's index: its components in that
+// order, (k1, k2) packed into `major` and k3 in `minor`, so a key compares
+// in two integer comparisons.  Keys are unique within one triple set (a
+// permutation key permutes all three components of a distinct triple), so
+// every index order is total.
+struct PermKey {
+  uint64_t major = 0;
+  TermId minor = 0;
+
+  friend auto operator<=>(const PermKey&, const PermKey&) = default;
+};
+
+template <Perm P>
+inline PermKey KeyOf(const Triple& t) {
+  auto pack = [](TermId k1, TermId k2, TermId k3) {
+    return PermKey{(uint64_t{k1} << 32) | k2, k3};
+  };
+  if constexpr (P == Perm::kSpo) return pack(t.s, t.p, t.o);
+  if constexpr (P == Perm::kSop) return pack(t.s, t.o, t.p);
+  if constexpr (P == Perm::kPso) return pack(t.p, t.s, t.o);
+  if constexpr (P == Perm::kPos) return pack(t.p, t.o, t.s);
+  if constexpr (P == Perm::kOsp) return pack(t.o, t.s, t.p);
 }
 
+// Sort order of permutation P's index.
+template <Perm P>
 struct PermLess {
-  Perm perm;
   bool operator()(const Triple& a, const Triple& b) const {
-    return PermKey(perm, a) < PermKey(perm, b);
+    return KeyOf<P>(a) < KeyOf<P>(b);
   }
 };
+
+// Calls `fn(std::integral_constant<Perm, P>{})` for the runtime `perm`, so
+// that per-triple key work is compiled per permutation with no branch on
+// `perm` inside the loop.
+template <typename Fn>
+decltype(auto) WithPerm(Perm perm, Fn&& fn) {
+  switch (perm) {
+    case Perm::kSpo:
+      return fn(std::integral_constant<Perm, Perm::kSpo>{});
+    case Perm::kSop:
+      return fn(std::integral_constant<Perm, Perm::kSop>{});
+    case Perm::kPso:
+      return fn(std::integral_constant<Perm, Perm::kPso>{});
+    case Perm::kPos:
+      return fn(std::integral_constant<Perm, Perm::kPos>{});
+    case Perm::kOsp:
+      break;
+  }
+  return fn(std::integral_constant<Perm, Perm::kOsp>{});
+}
 
 // A contiguous run of candidate triples in one permutation index: the
 // sorted [lo, hi) range whose key prefix matches a lookup pattern.  Every

@@ -12,6 +12,10 @@
 //  * Scores through SemanticAffinity's prepared-phrase memo must equal the
 //    Prepare() path and the oracle, in both modes, below and past the
 //    memo's capacity, and when several threads fill the memo at once.
+//  * The batched NormalizedScores must equal NormalizedScore per phrase,
+//    in both modes, for batches of 0-9 phrases (every remainder of its
+//    four-wide block) mixing word and char tokens, repeated tokens,
+//    stop-word-only and empty phrases.
 //
 // The binary has its own main: `--seed=N` (or the KGQAN_PROPERTY_SEED
 // environment variable) reseeds the generator, so CI can rotate seeds and
@@ -383,6 +387,110 @@ TEST(AffinityPropertyTest, ScoreEntityRowsEqualsUnmemoizedRanking) {
       EXPECT_EQ(got[i].score, expected[i].score) << "rank " << i;
     }
   }
+}
+
+TEST(AffinityPropertyTest, BatchedScoresEqualPerPhraseScores) {
+  for (AffinityMode mode :
+       {AffinityMode::kFineGrained, AffinityMode::kCoarseGrained}) {
+    SemanticAffinity affinity(mode);
+    PhraseGen gen(g_property_seed ^ 0xBA7Cull ^ static_cast<uint64_t>(mode));
+    for (int round = 0; round < 300; ++round) {
+      // Labels and phrases share a small pool of pieces, so tokens repeat
+      // within and across phrases; pieces mix lexicon words (word model)
+      // with names and digit-bearing tokens (char model).
+      std::vector<std::string> pieces;
+      for (int i = 0; i < 6; ++i) pieces.push_back(gen.Piece());
+      auto phrase = [&] {
+        switch (gen.rng().UniformInt(0, 5)) {
+          case 0:
+            return gen.Phrase();  // Sometimes empty or stop words only.
+          case 1:
+            return std::string("the of");
+          default: {
+            std::string out = gen.rng().PickOne(pieces);
+            for (int64_t n = gen.rng().UniformInt(0, 4); n > 0; --n) {
+              out += " " + gen.rng().PickOne(pieces);
+            }
+            return out;
+          }
+        }
+      };
+      const std::string label = phrase();
+      const size_t batch = static_cast<size_t>(round % 10);
+      std::vector<std::string> texts;
+      for (size_t i = 0; i < batch; ++i) {
+        texts.push_back(gen.rng().Bernoulli(0.1) ? label : phrase());
+      }
+      std::vector<SemanticAffinity::Phrase> prepared;
+      for (const std::string& text : texts) {
+        prepared.push_back(affinity.Prepare(text));
+      }
+      std::vector<const SemanticAffinity::Phrase*> phrases;
+      for (const SemanticAffinity::Phrase& p : prepared) phrases.push_back(&p);
+      const SemanticAffinity::Phrase prepared_label = affinity.Prepare(label);
+      std::vector<double> got = {-1.0};  // Overwritten, whatever it held.
+      affinity.NormalizedScores(prepared_label, phrases, &got);
+      SCOPED_TRACE(Repro(round) + " mode " +
+                   std::to_string(static_cast<int>(mode)) + " label='" +
+                   label + "'");
+      ASSERT_EQ(got.size(), batch);
+      for (size_t i = 0; i < batch; ++i) {
+        EXPECT_EQ(got[i], affinity.NormalizedScore(prepared_label, prepared[i]))
+            << "phrase " << i << " '" << texts[i] << "'";
+      }
+    }
+  }
+}
+
+TEST(AffinityPropertyTest, ScoreEntityRowsEqualsRankingWithTheMemoFull) {
+  // Fill the memo, so every fresh description of a probe is prepared into
+  // the linker's own scratch: each must live until its batch is scored.
+  SemanticAffinity affinity;
+  ReferenceAffinity oracle(AffinityMode::kFineGrained);
+  core::KgqanConfig config;
+  config.top_k_vertices = 400;  // Compare whole rankings.
+  core::JitLinker linker(&config, &affinity);
+  SemanticAffinity::Phrase scratch;
+  constexpr size_t kCapacity = SemanticAffinity::kPhraseMemoCapacity;
+  for (size_t i = 0; affinity.memo_size() < kCapacity; ++i) {
+    affinity.Prepared("filler" + std::to_string(i), &scratch);
+  }
+  PhraseGen gen(g_property_seed ^ 0xF011ull);
+  for (int round = 0; round < 40; ++round) {
+    const std::string label = gen.Phrase();
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (int64_t n = gen.rng().UniformInt(0, 30); n > 0; --n) {
+      rows.emplace_back(
+          "http://x/v" + std::to_string(gen.rng().UniformInt(0, 40)),
+          gen.rng().Bernoulli(0.2) ? label : gen.Phrase());
+    }
+    std::unordered_map<std::string, double> best;
+    for (const auto& [v_iri, d_value] : rows) {
+      double score = oracle.NormalizedScore(label, d_value);
+      auto [it, inserted] = best.emplace(v_iri, score);
+      if (!inserted && score > it->second) it->second = score;
+    }
+    std::vector<core::RelevantVertex> expected;
+    for (const auto& [iri, score] : best) {
+      expected.push_back(core::RelevantVertex{iri, score});
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.score > b.score;
+                     });
+
+    SCOPED_TRACE(Repro(round) + " label '" + label + "'");
+    const std::vector<std::pair<std::string_view, std::string_view>> row_views(
+        rows.begin(), rows.end());
+    std::vector<core::RelevantVertex> got =
+        linker.ScoreEntityRows(label, row_views);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].iri, expected[i].iri) << "rank " << i;
+      EXPECT_EQ(got[i].score, expected[i].score) << "rank " << i;
+    }
+  }
+  EXPECT_EQ(affinity.memo_size(), kCapacity);
 }
 
 TEST(AffinityPropertyTest, MemoizedScoresEqualPreparePathAndOracle) {

@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "baselines/edgqa_like.h"
 #include "baselines/ganswer_like.h"
 #include "benchgen/benchmark.h"
 #include "core/engine.h"
 #include "eval/runner.h"
+#include "obs/trace.h"
 
 namespace kgqan {
 namespace {
@@ -31,6 +38,74 @@ TEST(IntegrationTest, EngineIsDeterministic) {
     for (size_t a = 0; a < r1.answers.size(); ++a) {
       EXPECT_EQ(r1.answers[a], r2.answers[a]);
     }
+  }
+}
+
+// Wall time of the spans named in `children` whose parent is the first
+// span named `parent`, as a share of that span's own duration.
+double ChildCoverage(const obs::Trace& trace, const std::string& parent,
+                     const std::set<std::string>& children) {
+  const std::vector<obs::SpanRecord> spans = trace.spans();
+  const size_t root = trace.FindSpan(parent);
+  if (root == obs::kNoSpan || spans[root].duration_ns <= 0) return 0.0;
+  int64_t covered = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent == root && children.count(span.name) > 0) {
+      covered += span.duration_ns;
+    }
+  }
+  return double(covered) / double(spans[root].duration_ns);
+}
+
+// The engine's own spans account for a question's time: the three phases
+// cover the `question` span and the three linking steps cover `linking`,
+// with the linking cache on and off.  A repeat that the cache answers is
+// held to the phase check only: its linking takes a few microseconds, so
+// Link's own bookkeeping and the span records are a visible share of it.
+// Golden-run LC-QuAD questions at scale 0.1, QU shim off so the phases are
+// not dwarfed by it; each share is the best of a few attempts, so one
+// preemption between spans cannot fail the test.
+TEST(IntegrationTest, EngineSpansCoverQuestionAndLinkingTime) {
+  benchgen::Benchmark b =
+      benchgen::BuildBenchmark(benchgen::BenchmarkId::kLcQuad, 0.1);
+  const std::set<std::string> phases = {"qu", "linking", "execution"};
+  const std::set<std::string> linking_steps = {
+      "linking.entity", "linking.relation", "linking.derive_unknown"};
+  for (bool cache : {true, false}) {
+    size_t checked = 0;
+    for (size_t q = 0; q < b.questions.size() && checked < 4; ++q) {
+      const std::string& text = b.questions[q].text;
+      double question_share = 0.0, linking_share = 0.0;
+      double repeat_share = 0.0;
+      bool understood = false;
+      for (int attempt = 0; attempt < 5; ++attempt) {
+        core::KgqanConfig config = FastConfig();
+        config.linking_cache = cache;
+        core::KgqanEngine engine(config);
+        obs::Trace first(obs::Trace::Mode::kFull);
+        understood = engine.AnswerFull(text, *b.endpoint, &first)
+                         .response.understood;
+        if (!understood) break;
+        question_share =
+            std::max(question_share, ChildCoverage(first, "question", phases));
+        linking_share = std::max(
+            linking_share, ChildCoverage(first, "linking", linking_steps));
+        obs::Trace repeat(obs::Trace::Mode::kFull);
+        engine.AnswerFull(text, *b.endpoint, &repeat);
+        repeat_share =
+            std::max(repeat_share, ChildCoverage(repeat, "question", phases));
+      }
+      if (!understood) continue;
+      ++checked;
+      SCOPED_TRACE(std::string(cache ? "cache on" : "cache off") + ": " +
+                   text);
+      EXPECT_GE(question_share, 0.95);
+      EXPECT_LE(question_share, 1.0);
+      EXPECT_GE(linking_share, 0.95);
+      EXPECT_LE(linking_share, 1.0);
+      EXPECT_GE(repeat_share, 0.95);
+    }
+    EXPECT_EQ(checked, 4u);
   }
 }
 

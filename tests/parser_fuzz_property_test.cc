@@ -42,14 +42,18 @@ namespace {
 constexpr int kInputs = 20000;
 
 // Random graphs over a small vocabulary with every term kind the writers
-// emit: IRIs, blank nodes, plain, escaped, language-tagged and typed
-// literals.
+// emit: IRIs, blank nodes (labels with '-' and inner dots too), plain,
+// escaped, language-tagged and typed literals.
 rdf::Graph RandomGraph(util::Rng& rng) {
   auto pick = [&](int64_t n) { return std::to_string(rng.UniformInt(0, n)); };
+  auto blank = [&] {
+    static const char* const kStems[] = {"b", "b-", "a.b"};
+    return rdf::Blank(kStems[rng.UniformInt(0, 2)] + pick(3));
+  };
   rdf::Graph g;
   const int64_t size = rng.UniformInt(1, 6);
   for (int64_t i = 0; i < size; ++i) {
-    rdf::Term s = rng.UniformInt(0, 4) == 0 ? rdf::Blank("b" + pick(3))
+    rdf::Term s = rng.UniformInt(0, 4) == 0 ? blank()
                                             : rdf::Iri("http://x/s" + pick(5));
     rdf::Term p = rdf::Iri("http://x/p" + pick(3));
     rdf::Term o;
@@ -58,7 +62,7 @@ rdf::Graph RandomGraph(util::Rng& rng) {
         o = rdf::Iri("http://x/o" + pick(5));
         break;
       case 1:
-        o = rdf::Blank("b" + pick(3));
+        o = blank();
         break;
       case 2:
         o = rdf::LangLiteral("Baltic Sea " + pick(3), "en");
@@ -114,11 +118,15 @@ TEST(ParserFuzzPropertyTest, MutatedNTriplesYieldAGraphOrAStatus) {
   util::Rng master(g_property_seed ^ 0x0A7u);
   util::Rng graphs(master.Next());
   fuzz::InputMutator mutator(master.Next(), kNTriplesSplices);
+  // Blank-node labels next to the triple's dot, with '-' and inner dots.
+  const std::string handwritten =
+      "_:b1 <http://x/p> _:b-2.\n<http://x/s> <http://x/p> _:a.b .\n";
   size_t parsed = 0;
   for (int c = 0; c < kInputs; ++c) {
     const std::string input = mutator.Mutate(
-        (c % 8 == 0 ? "# a comment\n\n" : "") +
-        rdf::WriteNTriples(RandomGraph(graphs)));
+        c % 8 == 4 ? handwritten
+                   : (c % 8 == 0 ? "# a comment\n\n" : "") +
+                         rdf::WriteNTriples(RandomGraph(graphs)));
     SCOPED_TRACE(InputTrace("N-Triples", c, input));
     util::StatusOr<rdf::Graph> graph = util::Status::Internal("not parsed");
     try {
@@ -153,7 +161,8 @@ TEST(ParserFuzzPropertyTest, MutatedTurtleYieldsAGraphOrAStatus) {
       "ex:a a ex:Sea ; ex:near ex:b , ex:c ;\n"
       "  ex:n 42 , 3.5 , true ; ex:l \"nom\"@fr ;\n"
       "  ex:long \"\"\"line1\nline2\"\"\" .\n"
-      "_:b1 ex:p [] . <rel> <p> 'single' . # comment\n";
+      "_:b1 ex:p [] . <rel> <p> 'single' . # comment\n"
+      "_:b-1 ex:p _:a.b . _:c ex:p _:d.\n";
   size_t parsed = 0;
   for (int c = 0; c < kInputs; ++c) {
     const std::string input = mutator.Mutate(

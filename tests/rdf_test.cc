@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
 #include "rdf/term_dictionary.h"
+#include "rdf/turtle.h"
 #include "util/rng.h"
 
 namespace kgqan::rdf {
@@ -117,11 +122,13 @@ TEST(TermDictionaryTest, ApproxBytesGrows) {
 TEST(TermDictionaryTest, ApproxBytesEqualsRecomputation) {
   util::Rng rng(0xD1C7);
   TermDictionary dict;
-  // The dictionary grows its term vector by push_back from one reserved
-  // slot; a mirror grown the same way has the same capacity.
-  std::vector<Term> mirror(1);
-  for (int i = 0; i < 600; ++i) {
-    const std::string n = std::to_string(rng.UniformInt(0, 199));
+  // The dictionary stores its terms, plus the reserved null slot, in
+  // whole chunks of kChunkTerms; `slots` mirrors how many it has filled.
+  size_t slots = 1;
+  // About 1,500 distinct terms: the walk crosses a chunk boundary.
+  const int64_t distinct = TermDictionary::kChunkTerms / 2 + 50;
+  for (int i = 0; i < 2600; ++i) {
+    const std::string n = std::to_string(rng.UniformInt(0, distinct - 1));
     Term term;
     switch (rng.UniformInt(0, 3)) {
       case 0:
@@ -134,14 +141,16 @@ TEST(TermDictionaryTest, ApproxBytesEqualsRecomputation) {
         term = LangLiteral("label " + n, "en");
         break;
       default:
-        term = IntLiteral(rng.UniformInt(0, 199));
+        term = IntLiteral(rng.UniformInt(0, distinct - 1));
         break;
     }
     const size_t before = dict.size();
     dict.Intern(term);
-    if (dict.size() > before) mirror.push_back(term);
+    if (dict.size() > before) ++slots;
 
-    size_t expected = mirror.capacity() * sizeof(Term);
+    const size_t chunks = (slots + TermDictionary::kChunkTerms - 1) /
+                          TermDictionary::kChunkTerms;
+    size_t expected = chunks * TermDictionary::kChunkTerms * sizeof(Term);
     for (TermId id = 1; id <= dict.MaxId(); ++id) {
       const Term& t = dict.Get(id);
       const size_t strings = t.value.size() + t.datatype.size() + t.lang.size();
@@ -150,6 +159,28 @@ TEST(TermDictionaryTest, ApproxBytesEqualsRecomputation) {
       expected += strings + (strings + 3) + sizeof(TermId) + 32;
     }
     ASSERT_EQ(dict.ApproxBytes(), expected) << "after intern " << i;
+  }
+  EXPECT_GT(slots, TermDictionary::kChunkTerms);
+}
+
+// Result cells point at dictionary terms, so a term's address must survive
+// later interning (across chunk boundaries) and moving the dictionary.
+TEST(TermDictionaryTest, TermAddressesSurviveGrowthAndMove) {
+  TermDictionary dict;
+  std::vector<std::pair<TermId, const Term*>> seen;
+  for (size_t i = 0; i < 3 * TermDictionary::kChunkTerms; ++i) {
+    const TermId id = dict.Intern(Iri("http://example.org/e" +
+                                      std::to_string(i)));
+    if (i % 97 == 0) seen.emplace_back(id, &dict.Get(id));
+  }
+  TermDictionary moved = std::move(dict);
+  for (size_t i = 0; i < TermDictionary::kChunkTerms; ++i) {
+    moved.Intern(StringLiteral("later " + std::to_string(i)));
+  }
+  for (const auto& [id, address] : seen) {
+    EXPECT_EQ(&moved.Get(id), address) << "id " << id;
+    EXPECT_EQ(moved.Get(id).value,
+              "http://example.org/e" + std::to_string(id - 1));
   }
 }
 
@@ -227,6 +258,44 @@ TEST(NTriplesTest, RejectsEmptyBlankNodeLabel) {
   ASSERT_FALSE(g.ok());
   EXPECT_EQ(g.status().code(), util::StatusCode::kParseError);
   EXPECT_FALSE(ParseNTriples("<http://x/s> <http://x/p> _:\t.\n").ok());
+}
+
+// BLANK_NODE_LABEL: a label may hold '-' and inner dots but never ends in
+// a dot, so `_:b1.` is the label "b1" followed by the triple's dot.
+TEST(NTriplesTest, BlankNodeLabelsFollowTheGrammar) {
+  auto object_label = [](const std::string& line) -> std::string {
+    auto g = ParseNTriples(line);
+    if (!g.ok() || g->triples().size() != 1) return "<error>";
+    return g->dictionary().Get(g->triples()[0].o).value;
+  };
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:b1.\n"), "b1");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:b1 .\n"), "b1");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:a.b .\n"), "a.b");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:a.b.\n"), "a.b");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:b-1 .\n"), "b-1");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:1_x .\n"), "1_x");
+  // A label cannot start with '-' or '.'.
+  EXPECT_FALSE(ParseNTriples("<http://x/s> <http://x/p> _:-b .\n").ok());
+  EXPECT_FALSE(ParseNTriples("<http://x/s> <http://x/p> _:.b .\n").ok());
+  EXPECT_EQ(BlankNodeLabelLength("b1."), 2u);
+  EXPECT_EQ(BlankNodeLabelLength("a..b.. "), 4u);
+  EXPECT_EQ(BlankNodeLabelLength(""), 0u);
+  EXPECT_EQ(BlankNodeLabelLength(" b"), 0u);
+}
+
+TEST(TurtleBlankNodeTest, LabelsFollowTheGrammar) {
+  auto object_label = [](const std::string& text) -> std::string {
+    auto g = ParseTurtle(text);
+    if (!g.ok() || g->triples().size() != 1) return "<error>";
+    return g->dictionary().Get(g->triples()[0].o).value;
+  };
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:b-1 ."), "b-1");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:a.b ."), "a.b");
+  EXPECT_EQ(object_label("<http://x/s> <http://x/p> _:b1."), "b1");
+  auto empty = ParseTurtle("<http://x/s> <http://x/p> _: .");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), util::StatusCode::kParseError);
+  EXPECT_FALSE(ParseTurtle("_: <http://x/p> <http://x/o> .").ok());
 }
 
 TEST(NTriplesTest, RejectsTextAfterTheDot) {

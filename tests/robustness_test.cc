@@ -198,6 +198,70 @@ TEST(RobustnessTest, ConcurrentQueriesDuringLiveUpdates) {
   EXPECT_EQ(ep.generation(), generation_before + 20);
 }
 
+// Result cells point at the endpoint dictionary's terms.  Writes grow the
+// dictionary (past several storage chunks here) while result sets taken
+// before them are still held and read, and while readers query.
+TEST(RobustnessTest, HeldResultSetsReadTheSameTermsAcrossLiveUpdates) {
+  sparql::Endpoint ep("stress-held", StressGraph());
+  auto render = [](const sparql::ResultSet& rs) {
+    std::vector<std::string> out;
+    for (const sparql::Row& row : rs.rows()) {
+      for (const sparql::TermRef& cell : row) {
+        out.push_back(cell.has_value() ? rdf::ToNTriples(*cell) : "_");
+      }
+    }
+    return out;
+  };
+  const std::string text_query =
+      "SELECT ?v ?d WHERE { ?v ?p ?d . ?d <bif:contains> \"'person'\" . } "
+      "LIMIT 50";
+  const std::string join_query =
+      "SELECT ?a ?b WHERE { ?a <http://x/knows> ?b . } LIMIT 25";
+  auto held_text = ep.Query(text_query);
+  auto held_join = ep.Query(join_query);
+  ASSERT_TRUE(held_text.ok() && held_join.ok());
+  ASSERT_GT(held_text->NumRows(), 0u);
+  const std::vector<std::string> text_before = render(*held_text);
+  const std::vector<std::string> join_before = render(*held_join);
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t]() {
+      auto mine = ep.Query(t % 2 == 0 ? text_query : join_query);
+      if (!mine.ok()) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      const std::vector<std::string> expected = render(*mine);
+      while (!stop.load(std::memory_order_acquire)) {
+        auto fresh = ep.Query(join_query);
+        if (!fresh.ok() || render(*mine) != expected ||
+            render(*held_join) != join_before) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  constexpr size_t kWrites = 1000;
+  const size_t terms_before = ep.store().dictionary().size();
+  for (size_t i = 0; i < kWrites; ++i) {
+    const std::string n = std::to_string(i);
+    auto added = ep.AddNTriples("<http://x/held" + n +
+                                "> <http://x/label> \"held person " + n +
+                                "\" .\n");
+    ASSERT_TRUE(added.ok()) << added.status();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(ep.store().dictionary().size(),
+            terms_before + 2 * kWrites);
+  EXPECT_EQ(render(*held_text), text_before);
+  EXPECT_EQ(render(*held_join), join_before);
+}
+
 TEST(RobustnessTest, ParallelEngineMatchesSerialAnswers) {
   // The same questions answered with the serial pipeline and with the
   // maximum fan-out must produce identical answer sets — parallelism only

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "rdf/graph.h"
 #include "sparql/ast.h"
@@ -417,6 +418,58 @@ TEST_F(EvalTest, ValuesBindsTermsAbsentFromTheStore) {
   ASSERT_TRUE(rs2.ok()) << rs2.status();
   ASSERT_EQ(rs2->NumRows(), 1u);
   EXPECT_EQ(rs2->At(0, 0)->value, "http://nowhere/z");
+}
+
+// Cells are views: store terms stay in the endpoint's dictionary, and the
+// terms a result set owns (aggregates, VALUES terms absent from the KG)
+// must keep their addresses when the result set moves.
+TEST_F(EvalTest, OwnedCellsSurviveMovingTheResultSet) {
+  auto count = endpoint_.Query(
+      "SELECT (COUNT(DISTINCT ?sea) AS ?n) WHERE { ?sea <http://x/rdf-type> "
+      "<http://x/Sea> . }");
+  ASSERT_TRUE(count.ok()) << count.status();
+  const rdf::Term* count_term = &*count->At(0, 0);
+  ResultSet moved_count = std::move(count).value();
+  ASSERT_EQ(moved_count.NumRows(), 1u);
+  EXPECT_EQ(&*moved_count.At(0, 0), count_term);
+  EXPECT_EQ(moved_count.At(0, 0), IntLiteral(2));
+
+  auto values = endpoint_.Query(
+      "SELECT ?x ?s WHERE { VALUES ?x { <http://nowhere/z> 7 } ?s "
+      "<http://x/outflow> <http://x/baltic> . }");
+  ASSERT_TRUE(values.ok()) << values.status();
+  ASSERT_GE(values->NumRows(), 2u);
+  std::vector<const rdf::Term*> addresses;
+  for (size_t r = 0; r < values->NumRows(); ++r) {
+    addresses.push_back(&*values->At(r, 0));
+  }
+  ResultSet moved = std::move(values).value();
+  ResultSet assigned({});
+  assigned = std::move(moved);
+  ASSERT_EQ(assigned.NumRows(), addresses.size());
+  for (size_t r = 0; r < assigned.NumRows(); ++r) {
+    EXPECT_EQ(&*assigned.At(r, 0), addresses[r]) << "row " << r;
+    ASSERT_TRUE(assigned.At(r, 1).has_value());
+  }
+  EXPECT_EQ(assigned.At(0, 0), Iri("http://nowhere/z"));
+  EXPECT_EQ(assigned.At(assigned.NumRows() - 1, 0), IntLiteral(7));
+  // Each overlay term is owned once, however many rows bind it.
+  for (size_t r = 1; r < assigned.NumRows(); ++r) {
+    if (assigned.At(r, 0) == assigned.At(0, 0)) {
+      EXPECT_EQ(&*assigned.At(r, 0), &*assigned.At(0, 0)) << "row " << r;
+    }
+  }
+  // A store term is the dictionary's own.
+  const auto straits = endpoint_.store().dictionary().FindIri(
+      "http://x/danish_straits");
+  ASSERT_TRUE(straits.has_value());
+  bool points_into_dictionary = false;
+  for (size_t r = 0; r < assigned.NumRows(); ++r) {
+    points_into_dictionary =
+        points_into_dictionary ||
+        &*assigned.At(r, 1) == &endpoint_.store().dictionary().Get(*straits);
+  }
+  EXPECT_TRUE(points_into_dictionary);
 }
 
 // The evaluator caps solution rows at 100000, like the result caps of
