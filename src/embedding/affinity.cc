@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <mutex>
-#include <unordered_map>
 
 #include "text/tokenizer.h"
 
@@ -145,22 +145,42 @@ void SemanticAffinity::NormalizedScores(
   // The batch's distinct token vectors per model (by address: the
   // embedder caches hand out one vector per token), and for every batch
   // token, in phrase order, its index in its model's list.  Tokens with a
-  // near-zero norm never contribute to Score and get no index.
-  std::unordered_map<const Vec*, size_t> index_of;
+  // near-zero norm never contribute to Score and get no index.  Distinct
+  // vectors are found through an open-addressing table of at most half
+  // load, keyed by address.
+  size_t num_tokens = 0;
+  for (const Phrase* phrase : phrases) num_tokens += phrase->tokens_.size();
+  size_t capacity = 16;
+  while (capacity < 2 * num_tokens) capacity *= 2;
+  struct Entry {
+    const Vec* vec = nullptr;
+    size_t index = 0;
+  };
+  std::vector<Entry> table(capacity);
   std::array<std::vector<const Vec*>, 2> vecs;  // [from_word_model]
   std::vector<size_t> token_index;
-  index_of.reserve(phrases.size());
-  token_index.reserve(2 * phrases.size());
+  token_index.reserve(num_tokens);
   for (const Phrase* phrase : phrases) {
     for (const Phrase::Token& y : phrase->tokens_) {
       if (y.norm < 1e-9) {
         token_index.push_back(0);  // Never read: Score skips the token.
         continue;
       }
-      std::vector<const Vec*>& list = vecs[y.from_word_model];
-      auto [it, fresh] = index_of.try_emplace(y.vec, list.size());
-      if (fresh) list.push_back(y.vec);
-      token_index.push_back(it->second);
+      size_t slot = (reinterpret_cast<uintptr_t>(y.vec) >> 4) *
+                    0x9E3779B97F4A7C15ull >> 32;
+      while (true) {
+        Entry& entry = table[slot & (capacity - 1)];
+        if (entry.vec == nullptr) {
+          std::vector<const Vec*>& list = vecs[y.from_word_model];
+          entry = {y.vec, list.size()};
+          list.push_back(y.vec);
+        }
+        if (entry.vec == y.vec) {
+          token_index.push_back(entry.index);
+          break;
+        }
+        ++slot;
+      }
     }
   }
 

@@ -25,8 +25,7 @@ namespace kgqan::sparql {
 // comparison by value) but copies no term.
 class TermRef {
  public:
-  TermRef() = default;
-  TermRef(std::nullopt_t) {}  // NOLINT(runtime/explicit): unbound.
+  TermRef() = default;  // Unbound.
   explicit TermRef(const rdf::Term* term) : term_(term) {}
 
   bool has_value() const { return term_ != nullptr; }
@@ -41,9 +40,6 @@ class TermRef {
   }
   friend bool operator==(const TermRef& a, const rdf::Term& b) {
     return a.has_value() && *a.term_ == b;
-  }
-  friend bool operator==(const TermRef& a, std::nullopt_t) {
-    return !a.has_value();
   }
 
  private:
