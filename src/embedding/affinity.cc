@@ -55,6 +55,37 @@ const SemanticAffinity::Phrase& SemanticAffinity::Prepared(
       .first->second;
 }
 
+double SemanticAffinity::Score(const Phrase& a, const Phrase& b) const {
+  const auto& xs = a.tokens_;
+  const auto& ys = b.tokens_;
+  if (xs.empty() || ys.empty()) return 0.0;
+
+  // Eq. 1: mean over all cross pairs; cross-model pairs score 0.  Each
+  // cosine is Cosine()'s own expression over the cached norms.
+  double sum = 0.0;
+  for (const Phrase::Token& x : xs) {
+    for (const Phrase::Token& y : ys) {
+      if (x.from_word_model != y.from_word_model) continue;
+      if (x.norm < 1e-9 || y.norm < 1e-9) continue;
+      sum += std::max(0.0, Dot(*x.vec, *y.vec) / (x.norm * y.norm));
+    }
+  }
+  return sum / (static_cast<double>(xs.size()) * static_cast<double>(ys.size()));
+}
+
+double SemanticAffinity::Normalize(double raw, double self_a,
+                                   double self_b) {
+  if (raw <= 0.0) return 0.0;
+  if (self_a <= 0.0 || self_b <= 0.0) return 0.0;
+  double norm = raw / std::sqrt(self_a * self_b);
+  return std::min(1.0, norm);
+}
+
+double SemanticAffinity::NormalizedScore(const Phrase& a,
+                                         const Phrase& b) const {
+  return Normalize(Score(a, b), a.self_score_, b.self_score_);
+}
+
 namespace {
 
 // out[j] = Dot(x, *ys[j]) for j < 4, bit for bit: each sum adds the double
@@ -88,52 +119,6 @@ void DotRow(const Vec& x, const Vec* const* ys, size_t n, double* out) {
 }
 
 }  // namespace
-
-double SemanticAffinity::Score(const Phrase& a, const Phrase& b) const {
-  const auto& xs = a.tokens_;
-  const auto& ys = b.tokens_;
-  if (xs.empty() || ys.empty()) return 0.0;
-
-  // Eq. 1: mean over all cross pairs; cross-model pairs score 0.  Each
-  // cosine is Cosine()'s own expression over the cached norms.  Each token
-  // of `a` takes its dot products with the same-model tokens of `b` in one
-  // DotRow, then its cosines are summed in pair order.
-  std::vector<const Vec*> row_vecs;
-  std::vector<double> row_norms;
-  std::vector<double> dots(ys.size());
-  row_vecs.reserve(ys.size());
-  row_norms.reserve(ys.size());
-  double sum = 0.0;
-  for (const Phrase::Token& x : xs) {
-    if (x.norm < 1e-9) continue;
-    row_vecs.clear();
-    row_norms.clear();
-    for (const Phrase::Token& y : ys) {
-      if (x.from_word_model != y.from_word_model) continue;
-      if (y.norm < 1e-9) continue;
-      row_vecs.push_back(y.vec);
-      row_norms.push_back(y.norm);
-    }
-    DotRow(*x.vec, row_vecs.data(), row_vecs.size(), dots.data());
-    for (size_t k = 0; k < row_vecs.size(); ++k) {
-      sum += std::max(0.0, dots[k] / (x.norm * row_norms[k]));
-    }
-  }
-  return sum / (static_cast<double>(xs.size()) * static_cast<double>(ys.size()));
-}
-
-double SemanticAffinity::Normalize(double raw, double self_a,
-                                   double self_b) {
-  if (raw <= 0.0) return 0.0;
-  if (self_a <= 0.0 || self_b <= 0.0) return 0.0;
-  double norm = raw / std::sqrt(self_a * self_b);
-  return std::min(1.0, norm);
-}
-
-double SemanticAffinity::NormalizedScore(const Phrase& a,
-                                         const Phrase& b) const {
-  return Normalize(Score(a, b), a.self_score_, b.self_score_);
-}
 
 void SemanticAffinity::NormalizedScores(
     const Phrase& label, const std::vector<const Phrase*>& phrases,
@@ -206,12 +191,12 @@ void SemanticAffinity::NormalizedScores(
     double sum = 0.0;
     for (size_t xi = 0; xi < xs.size(); ++xi) {
       const Phrase::Token& x = xs[xi];
+      if (x.norm < 1e-9) continue;
       const size_t m = x.from_word_model;
       const double* x_dots = dots[m].data() + xi * vecs[m].size();
       for (size_t yi = 0; yi < ys.size(); ++yi) {
         const Phrase::Token& y = ys[yi];
-        if (x.from_word_model != y.from_word_model) continue;
-        if (x.norm < 1e-9 || y.norm < 1e-9) continue;
+        if (x.from_word_model != y.from_word_model || y.norm < 1e-9) continue;
         sum += std::max(0.0, x_dots[y_index[yi]] / (x.norm * y.norm));
       }
     }
