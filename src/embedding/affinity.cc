@@ -177,8 +177,9 @@ void SemanticAffinity::NormalizedScores(
     const Phrase::Token& x = xs[xi];
     if (x.norm < 1e-9) continue;
     const std::vector<const Vec*>& list = vecs[x.from_word_model];
+    // data() + offset, not &v[offset]: the list may be empty.
     DotRow(*x.vec, list.data(), list.size(),
-           &dots[x.from_word_model][xi * list.size()]);
+           dots[x.from_word_model].data() + xi * list.size());
   }
 
   // Each phrase's Eq. 1 sum in Score()'s order: x-major, then its tokens.
