@@ -58,9 +58,7 @@ int main(int argc, char** argv) {
   // Endpoint traffic of the serial pipeline's linking phase (K) over the
   // whole question set: one request per probe, in order (summed
   // KgqanResult linking counters).
-  core::KgqanConfig serial_cfg = bench::DefaultEngineConfig();
-  serial_cfg.num_threads = 1;
-  core::KgqanEngine serial(serial_cfg);
+  core::KgqanEngine serial(bench::DefaultEngineConfig());
   size_t requests = 0;
   double linking_ms = 0.0;
   for (const auto& q : b.questions) {

@@ -221,7 +221,6 @@ int main(int argc, char** argv) {
 
   core::KgqanConfig cfg = bench::DefaultEngineConfig();
   cfg.qu.inference.enabled = false;  // Keep the bench endpoint-bound.
-  cfg.num_threads = 1;  // Concurrency comes from server workers.
   core::KgqanEngine engine(cfg);
 
   std::string json_path = bench::ParseFlag(argc, argv, "json");

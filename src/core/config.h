@@ -36,13 +36,9 @@ struct KgqanConfig {
   // < score_gap of it) are not executed at all.
   double score_gap = 0.85;
 
-  // Worker threads for candidate-query execution (not a paper parameter);
-  // linking is always serial.  0 = hardware concurrency; 1 runs the
-  // original fully serial pipeline, preserving its exact behaviour
-  // including per-endpoint query counts.  Parallel runs execute the ranked
-  // candidates in waves and produce the same answers (results are combined
-  // in rank order) but may speculatively execute queries the serial
-  // early-exit would have skipped.
+  // Has no effect: every question runs its candidate queries serially.
+  // Kept only because kgqabench/main.cc still assigns it; the next change
+  // to the benchmark deletes that line and this field.
   size_t num_threads = 0;
 
   // The sharded LRU linking cache keyed by (phrase, KG identity, mode);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <map>
 #include <optional>
 #include <utility>
@@ -14,15 +13,6 @@
 namespace kgqan::core {
 
 namespace {
-
-// Resolves the configured thread count: 0 = hardware concurrency, 1 =
-// serial (no pool at all).
-std::unique_ptr<util::ThreadPool> MakePool(size_t num_threads) {
-  size_t n =
-      num_threads == 0 ? util::ThreadPool::DefaultThreads() : num_threads;
-  if (n <= 1) return nullptr;
-  return std::make_unique<util::ThreadPool>(n);
-}
 
 // Recall-first answer collection (Sec. 6): the rank-order union of a
 // SELECT question's answers stops after this many queries yielded
@@ -124,7 +114,6 @@ KgqanEngine::KgqanEngine(const KgqanConfig& config)
       generator_(config.qu),
       affinity_(std::make_unique<embed::SemanticAffinity>(
           config.affinity_mode)),
-      pool_(MakePool(config.num_threads)),
       cache_(MakeCache(config.linking_cache)),
       linker_(&config_, affinity_.get(), cache_.get()),
       bgp_generator_(&config_),
@@ -224,66 +213,33 @@ void KgqanEngine::ExecuteAskCandidates(const std::vector<Bgp>& bgps,
                                        KgqanResult* result) const {
   // ASK semantics: the question holds if any of the ranked candidate
   // queries holds in the KG.
-  auto run_ask = [this, &endpoint, result](const Bgp& bgp, size_t rank,
-                                           CandidateQueryStats* stats) {
+  for (size_t i = 0; i < bgps.size(); ++i) {
+    if (util::Cancelled()) {
+      result->deadline_exceeded = true;
+      return;
+    }
+    ++result->queries_executed;
+    CandidateQueryStats& stats = result->candidates[i];
     obs::ScopedSpan span("execution.candidate");
-    if (span.recording()) span.AddAttribute("rank", std::to_string(rank));
-    stats->executed = true;
+    if (span.recording()) span.AddAttribute("rank", std::to_string(i));
+    stats.executed = true;
     sparql::EvalProfile profile;
     std::optional<sparql::ScopedEvalProfile> analyze;
     if (span.recording()) analyze.emplace(&profile);
     std::string rendered;
-    if (rank != 0) rendered = BgpGenerator::ToAskSparql(bgp);
-    auto rs = endpoint.Query(rank == 0 ? std::string_view(result->top_sparql)
-                                       : rendered);
+    if (i != 0) rendered = BgpGenerator::ToAskSparql(bgps[i]);
+    auto rs = endpoint.Query(i == 0 ? std::string_view(result->top_sparql)
+                                    : rendered);
     analyze.reset();
-    stats->operators = std::move(profile.operators);
+    stats.operators = std::move(profile.operators);
     bool held = rs.ok() && rs->is_ask() && rs->ask_value();
-    stats->latency_ms = span.ElapsedMillis();
-    stats->rows = held ? 1 : 0;
-    return held;
-  };
-  bool value = false;
-  if (pool_ == nullptr) {
-    for (size_t i = 0; i < bgps.size(); ++i) {
-      if (util::Cancelled()) {
-        result->deadline_exceeded = true;
-        break;
-      }
-      ++result->queries_executed;
-      if (run_ask(bgps[i], i, &result->candidates[i])) {
-        value = true;
-        break;
-      }
-    }
-    result->response.boolean_answer = value;
-    return;
-  }
-  // Parallel: execute in rank-ordered waves of pool-size queries; the
-  // first true (in rank order) decides, exactly as the serial early exit.
-  const size_t wave = pool_->size();
-  for (size_t start = 0; start < bgps.size() && !value; start += wave) {
-    if (util::Cancelled()) {
-      result->deadline_exceeded = true;
-      break;
-    }
-    size_t end = std::min(start + wave, bgps.size());
-    std::vector<std::future<bool>> futures;
-    futures.reserve(end - start);
-    for (size_t i = start; i < end; ++i) {
-      ++result->queries_executed;
-      const Bgp& bgp = bgps[i];
-      // Each task writes its own preallocated stats slot: no race.
-      CandidateQueryStats* stats = &result->candidates[i];
-      futures.push_back(pool_->Submit([&run_ask, &bgp, i, stats]() {
-        return run_ask(bgp, i, stats);
-      }));
-    }
-    for (std::future<bool>& future : futures) {
-      if (future.get()) value = true;  // Join the whole wave regardless.
+    stats.latency_ms = span.ElapsedMillis();
+    stats.rows = held ? 1 : 0;
+    if (held) {
+      result->response.boolean_answer = true;
+      return;
     }
   }
-  result->response.boolean_answer = value;
 }
 
 void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
@@ -292,19 +248,26 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
                                           KgqanResult* result) const {
   // Recall-first union in rank order (Sec. 6): stop once enough top-ranked
   // queries were productive, and skip queries scoring far below the first
-  // productive one.  The in-order combine below applies the identical
-  // stopping rules for serial and parallel execution, so the answer set is
-  // the same; parallel runs merely execute some queries speculatively.
+  // productive one.
   size_t productive_queries = 0;
   double base_score = -1.0;
-
-  auto combine = [&](const Bgp& bgp,
-                     std::vector<rdf::Term>&& answers) -> bool {
-    // Returns false when the rank-order scan is done.
-    if (base_score >= 0.0 && bgp.score < config_.score_gap * base_score) {
-      return false;
+  for (size_t i = 0; i < bgps.size(); ++i) {
+    const Bgp& bgp = bgps[i];
+    if (util::Cancelled()) {
+      result->deadline_exceeded = true;
+      break;
     }
-    if (answers.empty()) return true;  // Filtered away: try the next query.
+    // Once an answer set exists, only near-equivalent queries (semantic
+    // score within the gap) can extend it.
+    if (base_score >= 0.0 && bgp.score < config_.score_gap * base_score) {
+      break;
+    }
+    ++result->queries_executed;
+    std::vector<rdf::Term> answers =
+        RunSelectCandidate(bgp, i, var, result->top_sparql,
+                           result->answer_type, endpoint,
+                           &result->candidates[i]);
+    if (answers.empty()) continue;  // Filtered away: try the next query.
     // Union into the running answer set.
     for (rdf::Term& term : answers) {
       bool dup = false;
@@ -316,60 +279,8 @@ void KgqanEngine::ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
       }
       if (!dup) result->response.answers.push_back(std::move(term));
     }
-    ++productive_queries;
     if (base_score < 0.0) base_score = bgp.score;
-    return productive_queries < kMaxProductiveQueries;
-  };
-
-  if (pool_ == nullptr) {
-    for (size_t i = 0; i < bgps.size(); ++i) {
-      const Bgp& bgp = bgps[i];
-      if (util::Cancelled()) {
-        result->deadline_exceeded = true;
-        break;
-      }
-      // Once an answer set exists, only near-equivalent queries (semantic
-      // score within the gap) can extend it.
-      if (base_score >= 0.0 && bgp.score < config_.score_gap * base_score) {
-        break;
-      }
-      ++result->queries_executed;
-      if (!combine(bgp, RunSelectCandidate(bgp, i, var, result->top_sparql,
-                                           result->answer_type, endpoint,
-                                           &result->candidates[i]))) {
-        break;
-      }
-    }
-    return;
-  }
-
-  const size_t wave = pool_->size();
-  for (size_t start = 0; start < bgps.size(); start += wave) {
-    if (util::Cancelled()) {
-      result->deadline_exceeded = true;
-      return;
-    }
-    size_t end = std::min(start + wave, bgps.size());
-    std::vector<std::future<std::vector<rdf::Term>>> futures;
-    futures.reserve(end - start);
-    for (size_t i = start; i < end; ++i) {
-      ++result->queries_executed;
-      const Bgp& bgp = bgps[i];
-      futures.push_back(
-          pool_->Submit([this, &bgp, i, &var, result, &endpoint]() {
-            return RunSelectCandidate(bgp, i, var, result->top_sparql,
-                                      result->answer_type, endpoint,
-                                      &result->candidates[i]);
-          }));
-    }
-    bool done = false;
-    for (size_t i = start; i < end; ++i) {
-      // Join every submitted future (they borrow endpoint/result state),
-      // but stop combining once the rank-order scan is finished.
-      std::vector<rdf::Term> answers = futures[i - start].get();
-      if (!done && !combine(bgps[i], std::move(answers))) done = true;
-    }
-    if (done) return;
+    if (++productive_queries == kMaxProductiveQueries) break;
   }
 }
 
@@ -378,8 +289,8 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
                                     obs::Trace* trace) const {
   // Always bind a trace: the caller's full one, or a private counters-only
   // one.  Either way the endpoint and the linking cache attribute this
-  // question's traffic to it (through every pool worker), which is what
-  // makes the per-question counters below exact under concurrency.
+  // question's traffic to it, which is what keeps the per-question counters
+  // below exact while other questions share the endpoint.
   obs::Trace local_trace(obs::Trace::Mode::kCountersOnly);
   if (trace == nullptr) trace = &local_trace;
   obs::ScopedSpan root(trace, "question");
@@ -443,8 +354,7 @@ KgqanResult KgqanEngine::AnswerFull(const std::string& question,
     }
   }
   result.queries_generated = bgps.size();
-  // Preallocate one stats slot per candidate so parallel execution waves
-  // write distinct slots without synchronization.
+  // One stats slot per candidate, executed or not.
   result.candidates.resize(bgps.size());
   for (size_t i = 0; i < bgps.size(); ++i) {
     result.candidates[i].rank = i;

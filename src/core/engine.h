@@ -24,7 +24,6 @@
 #include "qu/triple_pattern_generator.h"
 #include "sparql/endpoint.h"
 #include "sparql/evaluator.h"
-#include "util/thread_pool.h"
 
 namespace kgqan::core {
 
@@ -54,9 +53,8 @@ struct KgqanResult {
   size_t queries_executed = 0;
   std::vector<CandidateQueryStats> candidates;
   // Endpoint requests of the linking phase.  Exact even when other
-  // threads share the endpoint concurrently: the endpoint attributes
-  // traffic to the question's trace, which every worker thread of this
-  // question binds via thread-local context.
+  // questions share the endpoint concurrently: the endpoint attributes
+  // traffic to the trace that the question's thread binds.
   size_t linking_requests = 0;
   // Always equal to linking_requests (every request is its own exchange);
   // kept because the benchmark harness reports it.
@@ -128,14 +126,11 @@ class KgqanEngine : public QaSystem {
   const embed::SemanticAffinity& affinity() const { return *affinity_; }
   const qu::TriplePatternGenerator& generator() const { return generator_; }
 
-  // Worker threads actually in use (1 = serial pipeline).
-  size_t effective_threads() const { return pool_ ? pool_->size() : 1; }
   const LinkingCache* linking_cache() const { return cache_.get(); }
 
  private:
-  // Executes the ranked candidate queries of a non-boolean question and
-  // unions answers in rank order (Sec. 6 semantics; identical answers for
-  // serial and parallel execution).
+  // Executes the ranked candidate queries of a non-boolean question one
+  // after another and unions answers in rank order (Sec. 6 semantics).
   void ExecuteSelectCandidates(const std::vector<Bgp>& bgps,
                                const std::string& var,
                                sparql::Endpoint& endpoint,
@@ -146,8 +141,7 @@ class KgqanEngine : public QaSystem {
 
   // Runs one SELECT candidate and groups its rows into (answer, classes)
   // candidates; post-filtration is applied so the caller only unions.
-  // Fills `stats` (the candidate's preallocated slot — distinct per task,
-  // so parallel waves write without synchronization) and records an
+  // Fills `stats` (the candidate's preallocated slot) and records an
   // "execution.candidate" span.
   // `top_sparql` is rank 0's query, rendered once by AnswerFull; other
   // ranks are rendered here.
@@ -162,7 +156,6 @@ class KgqanEngine : public QaSystem {
   nlp::AnswerTypeClassifier answer_type_classifier_;
   std::unique_ptr<embed::SemanticAffinity> affinity_;
   // Declared before linker_: the linker borrows both raw pointers.
-  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<LinkingCache> cache_;
   JitLinker linker_;
   BgpGenerator bgp_generator_;

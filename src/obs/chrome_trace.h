@@ -6,7 +6,7 @@
 //
 // Each trace becomes one Chrome "process" (pid = trace index, named by
 // its label, typically the question text); span thread indices become
-// tids, so candidate-execution waves show up as parallel tracks.
+// tids, so each track is the thread that answered the question.
 
 #ifndef KGQAN_OBS_CHROME_TRACE_H_
 #define KGQAN_OBS_CHROME_TRACE_H_

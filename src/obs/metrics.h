@@ -38,7 +38,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-// Instantaneous level (e.g. thread-pool queue depth) with a high-water
+// Instantaneous level (e.g. serving queue depth) with a high-water
 // mark.  Add/Sub are relaxed; Max() is monotone between Resets and never
 // reads below the level concurrently observable via Value(): Sub routes
 // through Add so a negative delta still publishes the post-update level,

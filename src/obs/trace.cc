@@ -95,13 +95,6 @@ size_t Trace::FindSpan(std::string_view name) const {
 
 TraceContext CurrentContext() { return CurrentContextSlot(); }
 
-ScopedContext::ScopedContext(TraceContext context)
-    : saved_(CurrentContextSlot()) {
-  CurrentContextSlot() = context;
-}
-
-ScopedContext::~ScopedContext() { CurrentContextSlot() = saved_; }
-
 ScopedSpan::ScopedSpan(Trace* trace, std::string_view name)
     : saved_(CurrentContextSlot()) {
   if (trace == nullptr) return;

@@ -4,9 +4,8 @@
 // the linking cache) attribute to the *active* trace instead of bumping
 // only process-global statistics.  That attribution is what makes the
 // engine's per-question endpoint traffic counts exact under concurrency:
-// every thread working for a question binds the question's trace into
-// thread-local context (the thread pool propagates the binding to its
-// tasks automatically), so two questions sharing one endpoint never
+// the thread answering a question binds the question's trace into
+// thread-local context, so two questions sharing one endpoint never
 // pollute each other's counts.
 //
 // Cost model:
@@ -93,7 +92,7 @@ class Trace {
   uint64_t id() const { return id_; }
 
   // Opens a span; returns its index, or kNoSpan in counters-only mode.
-  // Thread-safe: concurrent workers of one question open sibling spans.
+  // Thread-safe, like every Trace method.
   size_t BeginSpan(std::string_view name, size_t parent);
   void EndSpan(size_t span, int64_t duration_ns);
   void AddAttribute(size_t span, std::string_view key,
@@ -108,7 +107,7 @@ class Trace {
         std::memory_order_relaxed);
   }
 
-  // Snapshot of the span tree (copy; safe while workers still append).
+  // Snapshot of the span tree (copy; safe while another thread appends).
   std::vector<SpanRecord> spans() const;
 
   // Index of the first span named `name`, or kNoSpan.
@@ -126,8 +125,8 @@ class Trace {
 };
 
 // The thread's active (trace, enclosing span) pair.  ScopedSpan pushes
-// onto it; the thread pool captures it at Submit() and rebinds it inside
-// the task, so nesting and counter attribution survive execution waves.
+// onto it and pops it, so nesting and counter attribution follow the
+// thread's span scopes.
 struct TraceContext {
   Trace* trace = nullptr;
   size_t span = kNoSpan;
@@ -135,19 +134,6 @@ struct TraceContext {
 
 TraceContext CurrentContext();
 inline Trace* CurrentTrace() { return CurrentContext().trace; }
-
-// RAII rebinding of the thread-local context (used by pool workers).
-class ScopedContext {
- public:
-  explicit ScopedContext(TraceContext context);
-  ~ScopedContext();
-
-  ScopedContext(const ScopedContext&) = delete;
-  ScopedContext& operator=(const ScopedContext&) = delete;
-
- private:
-  TraceContext saved_;
-};
 
 // RAII span: opens a child of the current context's span on construction,
 // becomes the current span, and closes with its Stopwatch duration on

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,6 +13,12 @@
 namespace kgqan::serve {
 
 namespace {
+
+// Receive and send timeout of an accepted connection.  Connections are
+// served one at a time on the accept thread, so a client that connects and
+// then goes silent holds the plane (and Shutdown's join) for at most this
+// long per blocked call.
+constexpr int kClientIoTimeoutSeconds = 2;
 
 const char* StatusText(int status) {
   switch (status) {
@@ -31,7 +38,9 @@ const char* StatusText(int status) {
 bool SendAll(int fd, const char* data, size_t size) {
   size_t sent = 0;
   while (sent < size) {
-    ssize_t n = ::send(fd, data + sent, size - sent, 0);
+    // MSG_NOSIGNAL: a client that hung up must fail this send, not raise
+    // SIGPIPE and kill the server process.
+    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -107,6 +116,10 @@ void AdminListener::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // Listener closed (or unrecoverable error): stop serving.
     }
+    timeval timeout{};
+    timeout.tv_sec = kClientIoTimeoutSeconds;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     ServeConnection(client);
     ::close(client);
   }

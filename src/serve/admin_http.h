@@ -4,7 +4,8 @@
 // Prometheus scraper (GET, one request per connection, Connection: close),
 // and hands the path to a caller-supplied handler.  It is an admin
 // surface, not a data plane — one accept thread, one request at a time,
-// no keep-alive, no TLS.
+// no keep-alive, no TLS.  A connection's reads and writes time out, so a
+// client that connects and goes silent cannot stall the plane.
 
 #ifndef KGQAN_SERVE_ADMIN_HTTP_H_
 #define KGQAN_SERVE_ADMIN_HTTP_H_
@@ -43,7 +44,9 @@ class AdminListener {
   // The bound port, or 0 when not listening.
   int port() const { return port_.load(std::memory_order_acquire); }
 
-  // Stops accepting, closes the socket, joins the thread.  Idempotent.
+  // Stops accepting, closes the socket, joins the thread (which first
+  // finishes the connection in flight, bounded by its I/O timeout).
+  // Idempotent.
   void Shutdown();
 
  private:

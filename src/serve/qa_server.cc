@@ -121,7 +121,7 @@ void QaServer::WorkerLoop() {
       response.deadline_exceeded = true;
     } else {
       // Bind the request's token so the whole pipeline under AnswerFull —
-      // including its candidate-execution waves — observes this deadline.
+      // linking probes and candidate queries alike — observes this deadline.
       util::ScopedCancelToken bind(request->token);
       response.result =
           engine_->AnswerFull(request->question, *endpoint_, trace);

@@ -1,6 +1,6 @@
 // Async serving front-end: QaServer multiplexes many concurrent questions
 // onto one shared kgqan::core::KgqanEngine through a bounded MPMC admission
-// queue drained by a worker pool.
+// queue drained by a fixed set of worker threads.
 //
 // Production behaviours (the ROADMAP's async-serving item):
 //  * Admission control / backpressure — Submit() never queues unboundedly:
@@ -8,11 +8,11 @@
 //    draining/shut-down server with Unavailable.  Callers retry or shed.
 //  * Per-question deadlines — each request carries a util::CancelToken
 //    that starts ticking at admission (queue wait counts against the
-//    deadline).  Workers bind it around Engine::AnswerFull, the thread
-//    pool propagates it into the candidate-execution waves, and the
-//    endpoint fails expired queries fast, so an expired question stops
-//    issuing probes and returns a partial-or-empty response flagged
-//    deadline_exceeded — without poisoning the linking cache.
+//    deadline).  Workers bind it around Engine::AnswerFull, which runs
+//    the whole question on the worker's thread, and the endpoint fails
+//    expired queries fast, so an expired question stops issuing probes
+//    and returns a partial-or-empty response flagged deadline_exceeded —
+//    without poisoning the linking cache.
 //  * Graceful drain/shutdown — Drain() stops admission and completes every
 //    admitted request; Shutdown() additionally joins the workers.  Both
 //    are idempotent, and the destructor shuts down.
@@ -57,7 +57,8 @@ namespace kgqan::serve {
 
 struct QaServerOptions {
   // Worker threads draining the admission queue, all sharing the engine;
-  // with a single-threaded engine this is the server's concurrency level.
+  // each answers one question at a time, so this is the server's
+  // concurrency level.
   size_t num_workers = 4;
 
   // Admission queue capacity: requests beyond num_workers in flight plus

@@ -50,8 +50,6 @@ bool CancelToken::Cancelled() const {
   return false;
 }
 
-const CancelToken& CurrentCancelToken() { return ThreadToken(); }
-
 bool Cancelled() { return ThreadToken().Cancelled(); }
 
 ScopedCancelToken::ScopedCancelToken(CancelToken token)

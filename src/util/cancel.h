@@ -1,8 +1,8 @@
 // Cooperative cancellation for the serving front-end: a CancelToken
 // combines an optional deadline (steady clock) with an explicit cancel
 // flag, shared by copy, and is threaded through the pipeline *ambiently* —
-// bound into thread-local context exactly like obs::TraceContext, and
-// propagated to pool tasks by util::ThreadPool::Submit.  Blocking hops
+// bound into thread-local context exactly like obs::TraceContext.  A
+// question runs on the one thread that bound its token, so blocking hops
 // (the SPARQL endpoint, the linker's probe loops, the engine's candidate
 // scan) poll Cancelled() and unwind early instead of starting new work.
 //
@@ -53,15 +53,12 @@ class CancelToken {
   std::shared_ptr<State> state_;
 };
 
-// The calling thread's bound token (a null token when nothing is bound).
-const CancelToken& CurrentCancelToken();
-
 // True iff the calling thread's bound token has been cancelled — the
 // single polling call instrumented hops use.
 bool Cancelled();
 
 // RAII thread-local binding (the serving worker binds the request token
-// around Engine::AnswerFull; pool tasks rebind the submitter's token).
+// around Engine::AnswerFull).
 class ScopedCancelToken {
  public:
   explicit ScopedCancelToken(CancelToken token);

@@ -41,7 +41,6 @@ rdf::Graph MiniKg() {
 
 core::KgqanConfig ServingConfig() {
   core::KgqanConfig cfg;
-  cfg.num_threads = 1;
   cfg.qu.inference.enabled = false;
   return cfg;
 }

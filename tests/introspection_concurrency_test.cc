@@ -157,7 +157,6 @@ TEST(IntrospectionConcurrencyTest, FlightRecorderDumpRacesRecording) {
 TEST(IntrospectionConcurrencyTest, ScrapeUnderQueryStorm) {
   sparql::Endpoint endpoint("mini", MiniKg());
   core::KgqanConfig cfg;
-  cfg.num_threads = 1;
   cfg.qu.inference.enabled = false;
   core::KgqanEngine engine(cfg);
 

@@ -13,12 +13,15 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -60,7 +63,6 @@ rdf::Graph MiniKg() {
 
 core::KgqanConfig ServingConfig() {
   core::KgqanConfig cfg;
-  cfg.num_threads = 1;
   cfg.qu.inference.enabled = false;
   return cfg;
 }
@@ -672,18 +674,25 @@ QaServerOptions IntrospectionOptions() {
   return options;
 }
 
-// One-shot HTTP/1.0 GET against 127.0.0.1:port.
-std::string HttpGet(int port, const std::string& path) {
+// A socket connected to 127.0.0.1:port, or -1.
+int ConnectLoopback(int port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return {};
+    return -1;
   }
+  return fd;
+}
+
+// One-shot HTTP/1.0 GET against 127.0.0.1:port.
+std::string HttpGet(int port, const std::string& path) {
+  int fd = ConnectLoopback(port);
+  if (fd < 0) return {};
   std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
   (void)!::write(fd, request.data(), request.size());
   std::string response;
@@ -747,6 +756,54 @@ TEST(AdminPlaneTest, EndpointsServeMetricsStatsAndSlow) {
   server.Shutdown();
   // The listener is down after shutdown.
   EXPECT_TRUE(HttpGet(server.admin_port(), "/healthz").empty());
+}
+
+// Scrapers that hang up before reading the response must not take the
+// server down: every reset below makes the listener's send fail, which
+// without MSG_NOSIGNAL raises SIGPIPE and kills the process.
+TEST(AdminPlaneTest, ClientsThatResetBeforeReadingDoNotKillTheServer) {
+  sparql::Endpoint endpoint("mini", MiniKg());
+  core::KgqanEngine engine(ServingConfig());
+  QaServer server(&engine, &endpoint, IntrospectionOptions());
+  ASSERT_GT(server.admin_port(), 0);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  for (int i = 0; i < 50; ++i) {
+    int fd = ConnectLoopback(server.admin_port());
+    ASSERT_GE(fd, 0);
+    (void)!::write(fd, request.data(), request.size());
+    if (i % 2 == 0) {
+      // Abortive close: an RST instead of a FIN.
+      linger hard{1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+    }
+    ::close(fd);
+  }
+  EXPECT_EQ(HttpGet(server.admin_port(), "/healthz").rfind("HTTP/1.0 200", 0),
+            0u);
+  server.Shutdown();
+}
+
+// A client that connects and sends nothing holds the accept thread only
+// until the connection's receive timeout, so Shutdown returns.
+TEST(AdminPlaneTest, ShutdownReturnsWithASilentClientConnected) {
+  sparql::Endpoint endpoint("mini", MiniKg());
+  core::KgqanEngine engine(ServingConfig());
+  QaServer server(&engine, &endpoint, IntrospectionOptions());
+  ASSERT_GT(server.admin_port(), 0);
+  int silent = ConnectLoopback(server.admin_port());
+  ASSERT_GE(silent, 0);
+  // Let the accept thread take the connection and block reading it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::future<void> shutdown =
+      std::async(std::launch::async, [&server] { server.Shutdown(); });
+  const bool returned = shutdown.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  // Half-closing the client unblocks a listener that waits on it forever,
+  // so the test fails instead of hanging.
+  ::shutdown(silent, SHUT_WR);
+  shutdown.get();
+  ::close(silent);
+  EXPECT_TRUE(returned) << "Shutdown blocked on a silent admin client";
 }
 
 TEST(AdminPlaneTest, StatsCountersTrackSamplingAndRecording) {

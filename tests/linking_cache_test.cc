@@ -312,10 +312,9 @@ TEST(LinkingCacheAnchorTest, ConcurrentReadersAndWriters) {
 // ---------------------------------------------------------------------------
 // The engine with the anchor table.
 
-KgqanConfig EngineConfig(bool linking_cache, size_t num_threads) {
+KgqanConfig EngineConfig(bool linking_cache) {
   KgqanConfig config;
   config.qu.inference.enabled = false;
-  config.num_threads = num_threads;
   config.linking_cache = linking_cache;
   return config;
 }
@@ -348,21 +347,18 @@ TEST(AnchorModeEngineTest, CachedEnginesMatchTheUncachedEngine) {
   benchgen::Benchmark b =
       benchgen::BuildBenchmark(benchgen::BenchmarkId::kLcQuad, 0.1);
   ASSERT_GT(b.questions.size(), 0u);
-  KgqanEngine uncached(EngineConfig(false, 1));
-  KgqanEngine serial(EngineConfig(true, 1));
-  KgqanEngine pooled(EngineConfig(true, 4));
+  KgqanEngine uncached(EngineConfig(false));
+  KgqanEngine cached(EngineConfig(true));
   size_t relation_linked = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (const benchgen::BenchQuestion& q : b.questions) {
       SCOPED_TRACE("pass " + std::to_string(pass) + ": " + q.text);
       KgqanResult want = uncached.AnswerFull(q.text, *b.endpoint);
-      for (const KgqanEngine* engine : {&serial, &pooled}) {
-        KgqanResult got = engine->AnswerFull(q.text, *b.endpoint);
-        ExpectSameAgp(got.agp, want.agp);
-        EXPECT_EQ(got.response.answers, want.response.answers);
-        EXPECT_EQ(got.response.boolean_answer, want.response.boolean_answer);
-        EXPECT_EQ(got.queries_generated, want.queries_generated);
-      }
+      KgqanResult got = cached.AnswerFull(q.text, *b.endpoint);
+      ExpectSameAgp(got.agp, want.agp);
+      EXPECT_EQ(got.response.answers, want.response.answers);
+      EXPECT_EQ(got.response.boolean_answer, want.response.boolean_answer);
+      EXPECT_EQ(got.queries_generated, want.queries_generated);
       for (const auto& predicates : want.agp.edge_predicates) {
         if (!predicates.empty()) ++relation_linked;
       }
@@ -370,8 +366,8 @@ TEST(AnchorModeEngineTest, CachedEnginesMatchTheUncachedEngine) {
   }
   EXPECT_GT(relation_linked, 0u);
   // The second pass was answered from the table.
-  EXPECT_GT(serial.linking_cache()->stats().hits, 0u);
-  EXPECT_GT(serial.linking_cache()->stats().entries, 0u);
+  EXPECT_GT(cached.linking_cache()->stats().hits, 0u);
+  EXPECT_GT(cached.linking_cache()->stats().entries, 0u);
 }
 
 constexpr const char* kDbr = "http://dbpedia.org/resource/";
@@ -400,7 +396,7 @@ bool HasPredicate(const Agp& agp, const std::string& iri) {
 
 TEST(AnchorModeEngineTest, WriteGivingAnAnchorAPredicateShowsInTheNextAgp) {
   sparql::Endpoint endpoint("spouse", SpouseKg());
-  KgqanEngine engine(EngineConfig(true, 1));
+  KgqanEngine engine(EngineConfig(true));
   const std::string question = "Who is the spouse of Barack Obama?";
   const std::string partner = std::string(kDbo) + "partner";
   KgqanResult before = engine.AnswerFull(question, endpoint);
@@ -418,7 +414,7 @@ TEST(AnchorModeEngineTest, WriteGivingAnAnchorAPredicateShowsInTheNextAgp) {
   ASSERT_TRUE(endpoint.AddNTriples(triple).ok());
   KgqanResult after = engine.AnswerFull(question, endpoint);
   EXPECT_TRUE(HasPredicate(after.agp, partner));
-  KgqanEngine fresh(EngineConfig(false, 1));
+  KgqanEngine fresh(EngineConfig(false));
   ExpectSameAgp(after.agp, fresh.AnswerFull(question, endpoint).agp);
 }
 
@@ -441,7 +437,7 @@ size_t ProbesUnderRelation(const obs::Trace& trace) {
 
 TEST(AnchorModeEngineTest, RepeatedQuestionIssuesNoPredicateProbes) {
   sparql::Endpoint endpoint("spouse", SpouseKg());
-  KgqanEngine engine(EngineConfig(true, 1));
+  KgqanEngine engine(EngineConfig(true));
   const std::string question = "Who is the spouse of Barack Obama?";
   obs::Trace first(obs::Trace::Mode::kFull);
   engine.AnswerFull(question, endpoint, &first);

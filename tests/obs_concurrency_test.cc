@@ -1,16 +1,16 @@
 // Concurrency tests for the observability subsystem (run under TSan):
-// one MetricsRegistry hammered from a thread pool, per-question traces
-// kept isolated while their work interleaves on shared workers, and the
-// engine's trace-attributed linking counters staying exact when several
+// one MetricsRegistry hammered from several threads, and the engine's
+// trace-attributed counters and spans staying per-question when several
 // questions share one endpoint concurrently.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "benchgen/benchmark.h"
@@ -18,7 +18,6 @@
 #include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace kgqan {
 namespace {
@@ -27,11 +26,10 @@ TEST(ObsConcurrencyTest, RegistryIsThreadSafeUnderContention) {
   obs::MetricsRegistry registry;
   constexpr size_t kThreads = 8;
   constexpr size_t kIters = 2000;
-  util::ThreadPool pool(kThreads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(pool.Submit([&registry]() {
+    threads.emplace_back([&registry]() {
       for (size_t i = 0; i < kIters; ++i) {
         // Lookup-by-name on purpose: the registry mutex is the contended
         // path; the record itself is lock-free.
@@ -40,67 +38,15 @@ TEST(ObsConcurrencyTest, RegistryIsThreadSafeUnderContention) {
         registry.GetHistogram("hammer.hist").Record(double(i % 7));
         registry.GetGauge("hammer.gauge").Sub(1);
       }
-    }));
+    });
   }
-  for (std::future<void>& f : futures) f.get();
+  for (std::thread& t : threads) t.join();
   EXPECT_EQ(registry.GetCounter("hammer.counter").Value(), kThreads * kIters);
   EXPECT_EQ(registry.GetGauge("hammer.gauge").Value(), 0);
   obs::HistogramSnapshot snap = registry.GetHistogram("hammer.hist").Snapshot();
   EXPECT_EQ(snap.count, kThreads * kIters);
   EXPECT_DOUBLE_EQ(snap.min, 0.0);
   EXPECT_DOUBLE_EQ(snap.max, 6.0);
-}
-
-TEST(ObsConcurrencyTest, TracesStayIsolatedAcrossSharedPoolWorkers) {
-  // Several "questions" (one trace each) fan tasks out onto one shared
-  // pool concurrently.  Context propagation must route every span and
-  // counter increment to the task's own trace, never a neighbour's.
-  constexpr size_t kTraces = 8;
-  constexpr size_t kTasksPerTrace = 16;
-  util::ThreadPool pool(4);
-  std::vector<std::unique_ptr<obs::Trace>> traces;
-  for (size_t t = 0; t < kTraces; ++t) {
-    traces.push_back(std::make_unique<obs::Trace>(obs::Trace::Mode::kFull));
-  }
-  std::vector<std::thread> drivers;
-  drivers.reserve(kTraces);
-  for (size_t t = 0; t < kTraces; ++t) {
-    drivers.emplace_back([&pool, trace = traces[t].get(), t]() {
-      obs::ScopedSpan root(trace, "root");
-      std::vector<std::future<void>> futures;
-      futures.reserve(kTasksPerTrace);
-      for (size_t i = 0; i < kTasksPerTrace; ++i) {
-        futures.push_back(pool.Submit([t]() {
-          obs::ScopedSpan span("task");
-          span.AddAttribute("owner", std::to_string(t));
-          if (obs::Trace* current = obs::CurrentTrace()) {
-            current->AddCounter(obs::TraceCounter::kEndpointRequests, 1);
-          }
-        }));
-      }
-      for (std::future<void>& f : futures) f.get();
-    });
-  }
-  for (std::thread& d : drivers) d.join();
-
-  for (size_t t = 0; t < kTraces; ++t) {
-    const obs::Trace& trace = *traces[t];
-    EXPECT_EQ(trace.counter(obs::TraceCounter::kEndpointRequests),
-              kTasksPerTrace);
-    std::vector<obs::SpanRecord> spans = trace.spans();
-    ASSERT_EQ(spans.size(), 1 + kTasksPerTrace);
-    size_t root = trace.FindSpan("root");
-    ASSERT_NE(root, obs::kNoSpan);
-    for (size_t s = 0; s < spans.size(); ++s) {
-      if (s == root) continue;
-      EXPECT_EQ(spans[s].name, "task");
-      // Submitted under the driver's root context: parent survives the
-      // hop onto the pool worker.
-      EXPECT_EQ(spans[s].parent, root);
-      ASSERT_EQ(spans[s].attributes.size(), 1u);
-      EXPECT_EQ(spans[s].attributes[0].second, std::to_string(t));
-    }
-  }
 }
 
 TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
@@ -110,25 +56,24 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
   ASSERT_GT(n, 0u);
 
   // Serial reference: one question at a time, no cache, so per-question
-  // linking traffic is deterministic.
+  // linking and execution traffic is deterministic.
   core::KgqanConfig serial_cfg;
-  serial_cfg.num_threads = 1;
   serial_cfg.linking_cache = false;
   core::KgqanEngine serial(serial_cfg);
   std::vector<size_t> expected_requests(n);
+  std::vector<size_t> expected_total(n);
   for (size_t i = 0; i < n; ++i) {
+    size_t before = b.endpoint->query_count();
     core::KgqanResult r = serial.AnswerFull(b.questions[i].text, *b.endpoint);
     expected_requests[i] = r.linking_requests;
+    expected_total[i] = b.endpoint->query_count() - before;
   }
 
-  // Concurrent run: one shared engine (worker pool inside) and several
-  // driver threads answering different questions against the same
-  // endpoint at once.  The old endpoint-delta measurement would mix the
-  // questions' traffic here; trace attribution must keep it exact.
-  core::KgqanConfig par_cfg;
-  par_cfg.num_threads = 4;
-  par_cfg.linking_cache = false;
-  core::KgqanEngine shared(par_cfg);
+  // Concurrent run: one shared engine and several driver threads
+  // answering different questions against the same endpoint at once.  The
+  // old endpoint-delta measurement would mix the questions' traffic here;
+  // trace attribution must keep it exact.
+  core::KgqanEngine shared(serial_cfg);
   size_t global_requests_before = b.endpoint->query_count();
   std::vector<std::unique_ptr<obs::Trace>> traces;
   for (size_t i = 0; i < n; ++i) {
@@ -153,8 +98,24 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
     SCOPED_TRACE("question " + std::to_string(i) + ": " +
                  b.questions[i].text);
     EXPECT_EQ(results[i].linking_requests, expected_requests[i]);
+    // Per-question attribution: the question's trace holds exactly its own
+    // requests, and its span tree has one root, the question's own.
+    const obs::Trace& trace = *traces[i];
+    EXPECT_EQ(trace.counter(obs::TraceCounter::kEndpointRequests),
+              expected_total[i]);
     attributed_requests +=
-        traces[i]->counter(obs::TraceCounter::kEndpointRequests);
+        trace.counter(obs::TraceCounter::kEndpointRequests);
+    std::vector<obs::SpanRecord> spans = trace.spans();
+    size_t roots = 0;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent != obs::kNoSpan) continue;
+      ++roots;
+      EXPECT_EQ(span.name, "question");
+      ASSERT_FALSE(span.attributes.empty());
+      EXPECT_EQ(span.attributes[0],
+                std::make_pair(std::string("question"), b.questions[i].text));
+    }
+    EXPECT_EQ(roots, 1u);
   }
   // Conservation: every endpoint request of the concurrent run was
   // attributed to exactly one question's trace (linking and execution).
@@ -166,9 +127,7 @@ TEST(EngineTraceTest, RootSpanCoversPhaseSpans) {
   benchgen::Benchmark b =
       benchgen::BuildBenchmark(benchgen::BenchmarkId::kLcQuad, 0.02);
   ASSERT_GT(b.questions.size(), 0u);
-  core::KgqanConfig cfg;
-  cfg.num_threads = 4;
-  core::KgqanEngine engine(cfg);
+  core::KgqanEngine engine;
 
   obs::Trace trace(obs::Trace::Mode::kFull);
   core::KgqanResult result =
@@ -216,9 +175,7 @@ TEST(EngineTraceTest, SparqlParseNestsUnderSparqlQuery) {
   benchgen::Benchmark b =
       benchgen::BuildBenchmark(benchgen::BenchmarkId::kLcQuad, 0.02);
   ASSERT_GT(b.questions.size(), 0u);
-  core::KgqanConfig cfg;
-  cfg.num_threads = 1;
-  core::KgqanEngine engine(cfg);
+  core::KgqanEngine engine;
 
   obs::Trace trace(obs::Trace::Mode::kFull);
   core::KgqanResult result =

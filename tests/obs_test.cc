@@ -242,18 +242,6 @@ TEST(TraceTest, NullTraceSpansAreNoOpsButStillTime) {
   EXPECT_EQ(CurrentTrace(), nullptr);
 }
 
-TEST(TraceTest, ScopedContextRebindsAndRestores) {
-  Trace trace(Trace::Mode::kFull);
-  EXPECT_EQ(CurrentTrace(), nullptr);
-  {
-    ScopedContext bind(TraceContext{&trace, kNoSpan});
-    EXPECT_EQ(CurrentTrace(), &trace);
-    ScopedSpan span("inside");
-    EXPECT_EQ(trace.FindSpan("inside"), size_t{0});
-  }
-  EXPECT_EQ(CurrentTrace(), nullptr);
-}
-
 TEST(TraceCounterTest, NamesAreStable) {
   EXPECT_EQ(TraceCounterName(TraceCounter::kEndpointRequests),
             "endpoint.requests");

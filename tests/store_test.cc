@@ -235,7 +235,7 @@ TEST(TripleStoreTest, EndpointPublishesStoreGauges) {
 TEST(TripleStoreTest, EndpointRecordsBuildAndUpdateSpans) {
   obs::Trace trace(obs::Trace::Mode::kFull);
   {
-    obs::ScopedContext bind(obs::TraceContext{&trace, obs::kNoSpan});
+    obs::ScopedSpan root(&trace, "test");
     sparql::Endpoint endpoint("span-test", SmallGraph());
     // Three new triples: one reuses the indexed "Baltic Sea" literal, one
     // adds a new literal, one adds an IRI object; the fourth is a duplicate.
