@@ -1,6 +1,6 @@
 // Async serving front-end: QaServer multiplexes many concurrent questions
 // onto one shared kgqan::core::KgqanEngine through a bounded MPMC admission
-// queue drained by a fixed set of worker threads.
+// queue drained by a worker pool.
 //
 // Production behaviours (the ROADMAP's async-serving item):
 //  * Admission control / backpressure — Submit() never queues unboundedly:

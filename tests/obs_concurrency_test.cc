@@ -57,9 +57,9 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
 
   // Serial reference: one question at a time, no cache, so per-question
   // linking and execution traffic is deterministic.
-  core::KgqanConfig serial_cfg;
-  serial_cfg.linking_cache = false;
-  core::KgqanEngine serial(serial_cfg);
+  core::KgqanConfig cfg;
+  cfg.linking_cache = false;
+  core::KgqanEngine serial(cfg);
   std::vector<size_t> expected_requests(n);
   std::vector<size_t> expected_total(n);
   for (size_t i = 0; i < n; ++i) {
@@ -73,7 +73,7 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
   // answering different questions against the same endpoint at once.  The
   // old endpoint-delta measurement would mix the questions' traffic here;
   // trace attribution must keep it exact.
-  core::KgqanEngine shared(serial_cfg);
+  core::KgqanEngine shared(cfg);
   size_t global_requests_before = b.endpoint->query_count();
   std::vector<std::unique_ptr<obs::Trace>> traces;
   for (size_t i = 0; i < n; ++i) {
