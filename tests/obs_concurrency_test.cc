@@ -69,9 +69,9 @@ TEST(ObsConcurrencyTest, LinkingCountersExactUnderSharedEndpoint) {
     expected_total[i] = b.endpoint->query_count() - before;
   }
 
-  // Concurrent run: one shared engine and several driver threads
-  // answering different questions against the same endpoint at once.  The
-  // old endpoint-delta measurement would mix the questions' traffic here;
+  // Concurrent run: one shared engine and four threads answering
+  // different questions against the same endpoint at once.  The old
+  // endpoint-delta measurement would mix the questions' traffic here;
   // trace attribution must keep it exact.
   core::KgqanEngine shared(cfg);
   size_t global_requests_before = b.endpoint->query_count();
